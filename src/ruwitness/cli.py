@@ -13,11 +13,15 @@ import argparse
 import sys
 from pathlib import Path
 
+from .channels import _check_unit_interval, gate_matrix
 from .protocol import ShotPlan, estimate_expectation, result_json_obj
 from .robustness import (
+    GATE_NAMES,
+    NOISE_KINDS,
     NoiseSpec,
     noisy_gate,
     closed_form,
+    numeric_expectation,
     sweep,
     sweep_json_obj,
     threshold,
@@ -25,18 +29,8 @@ from .robustness import (
     write_sweep_csv,
 )
 from .serialize import dumps, fmt12
-from .witness import (
-    beta_sru,
-    expectation,
-    minimal_settings,
-    gate_witness,
-    pauli_decompose,
-    settings_to_json_obj,
-)
-from .channels import gate_matrix
+from .witness import beta_sru, minimal_settings, gate_witness, pauli_decompose
 
-_GATE_CHOICES = ("cnot", "cz")
-_NOISE_CHOICES = ("depolarising", "dephasing", "bitflip", "amplitude_damping")
 _MODE_MAP = {"before": "before_only", "after": "after_only", "equal": "equal"}
 
 # The agreement bound for the two expectation routes in `expect`; a larger
@@ -52,11 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
 def _check_positive(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -67,10 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_gate(p):
-        p.add_argument("--gate", required=True, choices=_GATE_CHOICES)
+        p.add_argument("--gate", required=True, choices=[g.lower() for g in GATE_NAMES])
 
     def add_noise(p):
-        p.add_argument("--noise", required=True, choices=_NOISE_CHOICES)
+        p.add_argument("--noise", required=True, choices=NOISE_KINDS)
 
     p = sub.add_parser("witness", help="print beta, Pauli decomposition, minimal settings")
     add_gate(p)
@@ -127,7 +116,7 @@ def _cmd_witness(args) -> int:
     if args.decomposition_out:
         args.decomposition_out.write_text(dumps(decomp.to_json_obj()))
     if args.settings_out:
-        args.settings_out.write_text(dumps(settings_to_json_obj(settings)))
+        args.settings_out.write_text(dumps(list(settings)))
     return 0
 
 
@@ -141,12 +130,10 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_expect(args) -> int:
-    _check_unit("--q1", args.q1)
-    _check_unit("--q2", args.q2)
+    _check_unit_interval("--q1", args.q1)
+    _check_unit_interval("--q2", args.q2)
     analytic = closed_form(args.gate, args.noise, args.q1, args.q2)
-    numeric = expectation(
-        gate_witness(args.gate), noisy_gate(args.gate, NoiseSpec(args.noise, args.q1, args.q2))
-    )
+    numeric = numeric_expectation(args.gate, NoiseSpec(args.noise, args.q1, args.q2))
     diff = analytic - numeric
     print(f"closed_form = {fmt12(analytic)}")
     print(f"numeric     = {fmt12(numeric)}")
@@ -185,8 +172,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check_unit("--q1", args.q1)
-    _check_unit("--q2", args.q2)
+    _check_unit_interval("--q1", args.q1)
+    _check_unit_interval("--q2", args.q2)
     _check_positive("--shots", args.shots)
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")

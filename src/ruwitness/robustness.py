@@ -26,6 +26,7 @@ from typing import Callable, IO, Iterable
 
 from .channels import (
     KrausChannel,
+    _check_unit_interval,
     amplitude_damping,
     bit_flip,
     compose,
@@ -73,10 +74,8 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         _check_kind(self.kind)
-        for name in ("q1", "q2"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        _check_unit_interval("q1", self.q1)
+        _check_unit_interval("q2", self.q2)
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,8 @@ def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:
     """
     name = _check_gate(gate)
     _check_kind(kind)
-    for label, value in (("q1", q1), ("q2", q2)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
+    _check_unit_interval("q1", q1)
+    _check_unit_interval("q2", q2)
 
     if kind == "depolarising":
         b1 = 1.0 - 0.75 * q1

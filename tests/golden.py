@@ -56,3 +56,6 @@ KNOWN_CNOT_COVER = (
     "XYYZ",
     "XZYY",
 )
+
+# The lexicographically smallest nine-setting cover of the CZ witness.
+CZ_COVER = ("XXYY", "XYYX", "XZXZ", "YXXY", "YYXX", "YZYZ", "ZXZX", "ZYZY", "ZZZZ")

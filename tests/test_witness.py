@@ -30,7 +30,20 @@ from ruwitness.witness import (
     setting_covers,
 )
 
-from golden import CNOT_TERMS, CZ_TERMS, KNOWN_CNOT_COVER
+from golden import CNOT_TERMS, CZ_COVER, CZ_TERMS, KNOWN_CNOT_COVER
+
+SQRT_SWAP = np.array(
+    [
+        [1, 0, 0, 0],
+        [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
+        [0, (1 - 1j) / 2, (1 + 1j) / 2, 0],
+        [0, 0, 0, 1],
+    ]
+)
+
+
+def _decomposition(*strings):
+    return PauliDecomposition(tuple((Fraction(1, 16), s) for s in strings))
 
 
 class TestBeta:
@@ -164,12 +177,36 @@ class TestMinimalSettings:
         assert minimal_settings(decomp) == ()
 
     def test_single_full_weight_string(self):
-        decomp = PauliDecomposition(((Fraction(1, 16), "XYZX"),))
-        assert minimal_settings(decomp) == ("XYZX",)
+        assert minimal_settings(_decomposition("XYZX")) == ("XYZX",)
+
+    @pytest.mark.parametrize(
+        "strings,cover",
+        [
+            (("XIII",), ("XXXX",)),
+            (("XIII", "IYII"), ("XYXX",)),
+            # depth-first search meets a lexicographically later seven-setting cover first
+            (
+                ("IIIX", "IIZY", "IXIZ", "IXXX", "XXXY", "YXIZ",
+                 "YXXI", "YYYY", "YYZX", "ZIIX", "ZXIZ", "ZXZI"),
+                ("XXXY", "XXZY", "YXXZ", "YYYY", "YYZX", "ZXXX", "ZXZZ"),
+            ),
+        ],
+    )
+    def test_ties_break_lexicographically(self, strings, cover):
+        assert minimal_settings(_decomposition(*strings)) == cover
+
+    @pytest.mark.parametrize("string", ["XY", "XQII", "XYZXI"])
+    def test_rejects_malformed_strings(self, string):
+        decomp = _decomposition(string)
+        with pytest.raises(ValueError):
+            minimal_settings(decomp)
+        with pytest.raises(ValueError):
+            cover_exists(decomp, 81)
 
     def test_deterministic_output(self):
-        decomp = pauli_decompose(gate_witness("CZ"))
-        assert minimal_settings(decomp) == minimal_settings(decomp)
+        cnot = pauli_decompose(gate_witness("CNOT"))
+        assert minimal_settings(cnot) == tuple(sorted(KNOWN_CNOT_COVER))
+        assert minimal_settings(pauli_decompose(gate_witness("CZ"))) == CZ_COVER
 
     def test_candidate_pool(self):
         assert len(ALL_SETTINGS) == 81
@@ -211,3 +248,17 @@ def test_minimal_settings_runtime_budget():
         assert len(minimal_settings(decomp)) == 9
         assert not cover_exists(decomp, 8)
     assert time.perf_counter() - t0 < 1.0
+
+    # Generic witnesses: sqrt(SWAP) has 52 Pauli terms, a Haar-random
+    # unitary 226.  Both searches took about 2 s together on a 2-core
+    # x86-64 VM; the budget leaves four times that.
+    haar = haar_unitary(4, np.random.default_rng(5))
+    generic = [
+        pauli_decompose(build_witness(u, beta_sru(u, restarts=5, seed=0)))
+        for u in (SQRT_SWAP, haar)
+    ]
+    t0 = time.perf_counter()
+    assert len(minimal_settings(generic[0])) == 27
+    assert not cover_exists(generic[0], 26)
+    assert len(minimal_settings(generic[1])) == 81
+    assert time.perf_counter() - t0 < 8.0
