@@ -66,10 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decomposition-out", type=Path, help="write decomposition JSON")
     p.add_argument("--settings-out", type=Path, help="write settings JSON")
 
-    p = sub.add_parser("beta", help="optimize the witness offset beta")
+    p = sub.add_parser("beta", help="print the exact witness offset beta")
     add_gate(p)
-    p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=200, help="accepted; does not change beta")
+    p.add_argument("--seed", type=int, default=0, help="accepted; does not change beta")
 
     p = sub.add_parser("expect", help="closed-form vs numeric witness expectation")
     add_gate(p)

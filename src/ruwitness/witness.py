@@ -8,7 +8,11 @@ and the Choi vector of any product unitary,
 
 Tr[W C_M] >= 0 holds for every separable random-unitary (SRU) channel M,
 so a negative measured expectation certifies that a channel is not SRU.
-For both CNOT and CZ the optimum is beta = 1/2.
+beta has a closed form (Kraus & Cirac, PRA 63, 062309 (2001)): in the
+magic basis product unitaries are SO(4) rotations, and by Horn's theorem
+the diagonals of SO(4) fill the hull of the even-sign vectors, so beta is
+a maximum over eight sign vectors applied to the square roots of the
+eigenvalues of U_B^T U_B.  For both CNOT and CZ it is 1/2.
 
 The module also decomposes witnesses over the 256 four-qubit Pauli strings
 (coefficients come out as exact rationals with denominator 64 for the two
@@ -29,7 +33,6 @@ from itertools import product
 from math import ceil
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import KrausChannel, gate_matrix, unitary_channel
 from .choi import choi_of
@@ -37,10 +40,13 @@ from .linalg import pauli_basis, real_part
 
 IDENTITY_STRING = "IIII"
 
-# Start simplexes for the beta search live on [0, 2*pi)^6; the Euler-angle
-# map in _negative_overlap_factory is surjective onto U(2) up to global
-# phase, which cancels in |Tr|^2.
-_N_ANGLES = 6
+# The magic basis as columns, scaled by sqrt(2) so that the change of basis
+# is exact in floating point.  In the normalised basis every V ⊗ W with
+# V, W in SU(2) is a real rotation in SO(4).
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
+# The sign vectors with an even number of minus signs, the vertices of the
+# set of SO(4) diagonals (Horn 1954).
+_EVEN_SIGNS = np.array([s for s in product((1, -1), repeat=4) if s.count(-1) % 2 == 0])
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,21 @@ class Witness:
             object.__setattr__(self, field, a)
 
 
-def build_witness(u: np.ndarray, beta: float, gate: str | None = None) -> Witness:
-    """Assemble beta*1 - C_U from an explicit unitary and offset."""
+def build_witness(
+    u: np.ndarray, beta: float | None = None, gate: str | None = None
+) -> Witness:
+    """Assemble beta*1 - C_U, with the exact offset unless ``beta`` is given.
+
+    An offset below the exact one is not a witness: some product unitary
+    would then give a negative expectation.  It raises ``ValueError``.
+    """
+    exact = beta_sru(u)
+    if beta is None:
+        beta = exact
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
+    if beta < exact - 1e-12:
+        raise ValueError(f"beta {beta!r} is below the exact offset {exact!r}")
     u = np.asarray(u, dtype=complex)
     c = choi_of(unitary_channel(u))
     matrix = beta * np.eye(c.matrix.shape[0]) - c.matrix
@@ -77,80 +94,36 @@ def gate_witness(gate: str) -> Witness:
     return build_witness(gate_matrix(name), 0.5, gate=name)
 
 
-def _negative_overlap_factory(u: np.ndarray):
-    """-|Tr[(V ⊗ W)^dag U]|^2 / 16 over two angle triples, for the optimizer loop.
-
-    Each triple (theta, phi, lam) gives the single-qubit unitary
-    [[c, -e^{i lam} s], [e^{i phi} s, e^{i (phi + lam)} c]] with
-    c = cos(theta/2), s = sin(theta/2), and
-    Tr[(V ⊗ W)^dag U] = sum_{a,b,c,d} conj(V_ac) conj(W_bd) U_(ab),(cd);
-    contracting W first leaves four coefficients per (a, c).  Plain complex
-    scalars beat numpy by an order of magnitude at this size.
-    """
-    u4 = np.asarray(u, dtype=complex).reshape(2, 2, 2, 2)
-    slices = {(a, c): (u4[a, 0, c, 0], u4[a, 0, c, 1], u4[a, 1, c, 0], u4[a, 1, c, 1])
-              for a in range(2) for c in range(2)}
-
-    def negative(x) -> float:
-        c1 = np.cos(x[0] / 2)
-        s1 = np.sin(x[0] / 2)
-        c2 = np.cos(x[3] / 2)
-        s2 = np.sin(x[3] / 2)
-        # conjugated su2 entries
-        cv = {
-            (0, 0): c1,
-            (0, 1): -np.exp(-1j * x[2]) * s1,
-            (1, 0): np.exp(-1j * x[1]) * s1,
-            (1, 1): np.exp(-1j * (x[1] + x[2])) * c1,
-        }
-        cw00 = c2
-        cw01 = -np.exp(-1j * x[5]) * s2
-        cw10 = np.exp(-1j * x[4]) * s2
-        cw11 = np.exp(-1j * (x[4] + x[5])) * c2
-        t = 0j
-        for ac, (m00, m01, m10, m11) in slices.items():
-            t += cv[ac] * (m00 * cw00 + m01 * cw01 + m10 * cw10 + m11 * cw11)
-        return -(t.real**2 + t.imag**2) / 16.0
-
-    return negative
-
-
 def beta_sru(
     u: np.ndarray, restarts: int = 200, tol: float = 1e-8, seed: int = 0
 ) -> float:
-    """Maximal squared overlap of C_U with product-unitary Choi vectors.
+    """Maximal squared overlap of C_U with product-unitary Choi vectors, exactly.
 
-    Multi-start Nelder-Mead over 3 Euler-like angles per qubit, followed by
-    one tight polish from the best coarse point.  Each restart draws its
-    start from a private stream seeded by ``(seed, restart)``, so results
-    are reproducible and monotone in the number of restarts.  Restart -1 is
-    the deterministic identity start, which guarantees the |Tr U|^2/16
-    floor.
+    In the magic basis U becomes U_B = O_1 D O_2 with O_1, O_2 in SO(4) and
+    D = diag(lambda), where lambda^2 are the eigenvalues of U_B^T U_B and
+    prod(lambda) = det U.  The overlap is |sum_k Q_kk lambda_k|^2 / 16 over
+    Q in SO(4), and Horn's theorem puts the diagonals of SO(4) in the hull
+    of the even-sign vectors, so the maximum sits on one of those eight.
+    The value is exact up to round-off; ``restarts``, ``tol`` and ``seed``
+    are accepted for compatibility and do not change it.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-10:
         raise ValueError("beta_sru expects a 4x4 unitary")
-
-    negative = _negative_overlap_factory(u)
-    coarse = {"xatol": 1e-4, "fatol": 1e-6, "maxfev": 300}
-    best = minimize(negative, np.zeros(_N_ANGLES), method="Nelder-Mead", options=coarse)
-    for restart in range(restarts):
-        rng = np.random.default_rng((seed, restart))
-        x0 = rng.uniform(0.0, 2.0 * np.pi, _N_ANGLES)
-        res = minimize(negative, x0, method="Nelder-Mead", options=coarse)
-        if res.fun < best.fun:
-            best = res
-    polish = {"xatol": tol * 1e-2, "fatol": tol * 1e-4, "maxfev": 2000}
-    refined = minimize(negative, best.x, method="Nelder-Mead", options=polish)
-    return float(-min(best.fun, refined.fun))
+    ub = _MAGIC.conj().T @ u @ _MAGIC
+    lam = np.sqrt(np.linalg.eigvals(ub.T @ ub))
+    if (np.prod(lam) * np.conj(np.linalg.det(u))).real < 0:
+        lam[0] = -lam[0]
+    # lam carries the factor 2 of the unnormalised basis, hence 64 = 16 * 2^2
+    return min(float(np.max(np.abs(_EVEN_SIGNS @ lam)) ** 2 / 64), 1.0)
 
 
 @dataclass(frozen=True)
 class PauliDecomposition:
     """Nonzero Pauli-string coefficients of a witness, in lexicographic order.
 
-    Coefficients are exact ``Fraction`` values whenever they snap to a
-    rational with denominator 64, floats otherwise.
+    Coefficients are exact ``Fraction`` values whenever they lie within
+    round-off (1e-12) of a rational with denominator 64, floats otherwise.
     """
 
     terms: tuple[tuple[Fraction | float, str], ...]
@@ -182,6 +155,11 @@ def _coeff_str(coeff: Fraction | float) -> str:
     return repr(float(coeff))
 
 
+# A coefficient snaps to k/64 only at round-off level; dressed Clifford
+# witnesses sit within 1.1e-16 of their 64ths.
+_SNAP_TOL = 1e-12
+
+
 def pauli_decompose(w: Witness, cutoff: float = 1e-12) -> PauliDecomposition:
     """Expand the witness over Pauli strings: coeff(P) = Tr[P W]/16."""
     strings, stack = pauli_basis(4)
@@ -191,7 +169,7 @@ def pauli_decompose(w: Witness, cutoff: float = 1e-12) -> PauliDecomposition:
     terms: list[tuple[Fraction | float, str]] = []
     for s, c in zip(strings, coeffs.real):
         snapped = round(c * 64)
-        if abs(c - snapped / 64) <= 1e-9:
+        if abs(c - snapped / 64) <= _SNAP_TOL:
             if snapped == 0:
                 continue
             terms.append((Fraction(snapped, 64), s))

@@ -1,0 +1,83 @@
+"""Independent second routes for the test suite.
+
+``beta_search`` is the multi-start Nelder-Mead search that computed the
+witness offset before the closed form in ``ruwitness.witness.beta_sru``
+replaced it.  Every value it returns is the overlap of an actual product
+unitary, so it is a certified lower bound on the exact offset.
+"""
+
+import numpy as np
+from scipy.optimize import minimize
+
+# Start simplexes for the beta search live on [0, 2*pi)^6; the Euler-angle
+# map in _negative_overlap_factory is surjective onto U(2) up to global
+# phase, which cancels in |Tr|^2.
+_N_ANGLES = 6
+
+
+def _negative_overlap_factory(u: np.ndarray):
+    """-|Tr[(V ⊗ W)^dag U]|^2 / 16 over two angle triples, for the optimizer loop.
+
+    Each triple (theta, phi, lam) gives the single-qubit unitary
+    [[c, -e^{i lam} s], [e^{i phi} s, e^{i (phi + lam)} c]] with
+    c = cos(theta/2), s = sin(theta/2), and
+    Tr[(V ⊗ W)^dag U] = sum_{a,b,c,d} conj(V_ac) conj(W_bd) U_(ab),(cd);
+    contracting W first leaves four coefficients per (a, c).  Plain complex
+    scalars beat numpy by an order of magnitude at this size.
+    """
+    u4 = np.asarray(u, dtype=complex).reshape(2, 2, 2, 2)
+    slices = {(a, c): (u4[a, 0, c, 0], u4[a, 0, c, 1], u4[a, 1, c, 0], u4[a, 1, c, 1])
+              for a in range(2) for c in range(2)}
+
+    def negative(x) -> float:
+        c1 = np.cos(x[0] / 2)
+        s1 = np.sin(x[0] / 2)
+        c2 = np.cos(x[3] / 2)
+        s2 = np.sin(x[3] / 2)
+        # conjugated su2 entries
+        cv = {
+            (0, 0): c1,
+            (0, 1): -np.exp(-1j * x[2]) * s1,
+            (1, 0): np.exp(-1j * x[1]) * s1,
+            (1, 1): np.exp(-1j * (x[1] + x[2])) * c1,
+        }
+        cw00 = c2
+        cw01 = -np.exp(-1j * x[5]) * s2
+        cw10 = np.exp(-1j * x[4]) * s2
+        cw11 = np.exp(-1j * (x[4] + x[5])) * c2
+        t = 0j
+        for ac, (m00, m01, m10, m11) in slices.items():
+            t += cv[ac] * (m00 * cw00 + m01 * cw01 + m10 * cw10 + m11 * cw11)
+        return -(t.real**2 + t.imag**2) / 16.0
+
+    return negative
+
+
+def beta_search(
+    u: np.ndarray, restarts: int = 200, tol: float = 1e-8, seed: int = 0
+) -> float:
+    """Maximal squared overlap of C_U with product-unitary Choi vectors.
+
+    Multi-start Nelder-Mead over 3 Euler-like angles per qubit, followed by
+    one tight polish from the best coarse point.  Each restart draws its
+    start from a private stream seeded by ``(seed, restart)``, so results
+    are reproducible and monotone in the number of restarts.  Restart -1 is
+    the deterministic identity start, which guarantees the |Tr U|^2/16
+    floor.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4) or np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-10:
+        raise ValueError("beta_search expects a 4x4 unitary")
+
+    negative = _negative_overlap_factory(u)
+    coarse = {"xatol": 1e-4, "fatol": 1e-6, "maxfev": 300}
+    best = minimize(negative, np.zeros(_N_ANGLES), method="Nelder-Mead", options=coarse)
+    for restart in range(restarts):
+        rng = np.random.default_rng((seed, restart))
+        x0 = rng.uniform(0.0, 2.0 * np.pi, _N_ANGLES)
+        res = minimize(negative, x0, method="Nelder-Mead", options=coarse)
+        if res.fun < best.fun:
+            best = res
+    polish = {"xatol": tol * 1e-2, "fatol": tol * 1e-4, "maxfev": 2000}
+    refined = minimize(negative, best.x, method="Nelder-Mead", options=polish)
+    return float(-min(best.fun, refined.fun))

@@ -48,6 +48,16 @@ class TestBetaCommand:
         assert code == 1
         assert "--restarts" in err
 
+    def test_restarts_and_seed_do_not_change_value(self, capsys):
+        outs = {run(capsys, "beta", "--gate", "cz", "--restarts", r, "--seed", s)[1]
+                for r in ("1", "200") for s in ("0", "9")}
+        assert outs == {"beta = 0.500000000000\n"}
+
+    def test_rejects_negative_seed(self, capsys):
+        code, _, err = run(capsys, "beta", "--gate", "cz", "--seed", "-1")
+        assert code == 1
+        assert "--seed" in err
+
 
 class TestExpectCommand:
     def test_routes_agree(self, capsys):

@@ -19,6 +19,7 @@ from ruwitness.linalg import is_psd, kron
 from ruwitness.witness import (
     ALL_SETTINGS,
     PauliDecomposition,
+    Witness,
     beta_sru,
     build_witness,
     cover_exists,
@@ -31,6 +32,7 @@ from ruwitness.witness import (
 )
 
 from golden import CNOT_TERMS, CZ_COVER, CZ_TERMS, KNOWN_CNOT_COVER
+from oracles import beta_search
 
 SQRT_SWAP = np.array(
     [
@@ -42,8 +44,48 @@ SQRT_SWAP = np.array(
 )
 
 
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+
+
+def _local(rng):
+    return kron(haar_unitary(2, rng), haar_unitary(2, rng))
+
+
+# exact offsets of gates whose magic-basis spectra repeat
+EXACT_BETA = {
+    "CNOT": (gate_matrix("CNOT"), 0.5),
+    "CZ": (gate_matrix("CZ"), 0.5),
+    "SWAP": (SWAP, 0.25),
+    "iSWAP": (ISWAP, 0.25),
+    "sqrtSWAP": (SQRT_SWAP, 0.625),
+    "identity": (np.eye(4), 1.0),
+    "product": (_local(np.random.default_rng(3)), 1.0),
+}
+
+
 def _decomposition(*strings):
     return PauliDecomposition(tuple((Fraction(1, 16), s) for s in strings))
+
+
+def _single_qubit_cliffords():
+    """The 24 single-qubit Cliffords, phase-fixed, generated from H and S."""
+
+    def phase_fixed(m):
+        lead = m.flat[np.flatnonzero(np.abs(m) > 1e-9)[0]]
+        return m * abs(lead) / lead
+
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    found = frontier = [np.eye(2)]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for step in (h, np.diag([1, 1j])):
+                c = phase_fixed(step @ g)
+                if not any(np.allclose(c, f) for f in found + fresh):
+                    fresh.append(c)
+        found, frontier = found + fresh, fresh
+    return found
 
 
 class TestBeta:
@@ -65,11 +107,60 @@ class TestBeta:
         floor = abs(np.trace(u)) ** 2 / 16
         assert beta_sru(u, restarts=5, seed=0) >= floor - 1e-12
 
-    def test_monotone_in_restarts(self):
-        u = gate_matrix("CZ")
-        few = beta_sru(u, restarts=3, seed=11)
-        more = beta_sru(u, restarts=20, seed=11)
-        assert more >= few - 1e-12
+    @pytest.mark.parametrize("name", sorted(EXACT_BETA))
+    def test_exact_values_on_repeated_spectra(self, name):
+        u, exact = EXACT_BETA[name]
+        assert beta_sru(u) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_BETA))
+    def test_search_oracle_agrees(self, name):
+        u, exact = EXACT_BETA[name]
+        found = beta_search(u, restarts=20, seed=3)
+        assert found <= beta_sru(u) + 1e-12
+        assert found == pytest.approx(exact, abs=1e-6)
+
+    def test_independent_of_restarts_and_seed(self):
+        u = haar_unitary(4, np.random.default_rng(11))
+        values = {beta_sru(u, restarts=r, tol=t, seed=s)
+                  for r in (0, 3, 200) for t in (1e-3, 1e-8) for s in (0, 11)}
+        assert len(values) == 1
+
+    def test_product_unitaries_stay_in_range(self):
+        # round-off lifts the unclipped value above 1 for some products,
+        # which build_witness would then reject
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            u = _local(rng)
+            assert 1 - 1e-12 <= beta_sru(u) <= 1.0
+            assert build_witness(u).beta == beta_sru(u)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10**6))
+    def test_search_never_exceeds_exact(self, seed):
+        u = haar_unitary(4, np.random.default_rng(seed))
+        assert beta_search(u, restarts=5, seed=seed) <= beta_sru(u) + 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 10**6))
+    def test_no_product_unitary_beats_it(self, seed):
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(4, rng)
+        beta = beta_sru(u)
+        for _ in range(20):
+            assert abs(np.trace(_local(rng).conj().T @ u)) ** 2 / 16 <= beta + 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 10**6))
+    def test_invariant_under_local_dressing(self, seed):
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(4, rng)
+        assert beta_sru(_local(rng) @ u @ _local(rng)) == pytest.approx(beta_sru(u), abs=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 10**6))
+    def test_trace_floor_on_haar(self, seed):
+        u = haar_unitary(4, np.random.default_rng(seed))
+        assert beta_sru(u) >= abs(np.trace(u)) ** 2 / 16 - 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -99,6 +190,17 @@ class TestBuildWitness:
             build_witness(np.eye(4), 0.0)
         with pytest.raises(ValueError):
             build_witness(np.eye(4), 1.2)
+
+    def test_rejects_beta_below_exact(self):
+        # beta = 0.437 < 1/2: the CNOT operator is negative on a product unitary
+        with pytest.raises(ValueError, match="below the exact offset"):
+            build_witness(gate_matrix("CNOT"), beta=0.437)
+
+    def test_default_beta_is_exact(self):
+        u = haar_unitary(4, np.random.default_rng(9))
+        w = build_witness(u)
+        assert w.beta == beta_sru(u)
+        assert build_witness(u, beta=w.beta).beta == w.beta
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6))
@@ -143,11 +245,30 @@ class TestPauliDecompose:
         assert by_string["ZYIY"] == "4/64"
 
     def test_generic_beta_keeps_float_coefficients(self):
-        w = build_witness(gate_matrix("CNOT"), beta=0.437)
+        w = build_witness(gate_matrix("CNOT"), beta=0.563)
         decomp = pauli_decompose(w)
         identity_coeff = decomp.coefficient("IIII")
         assert isinstance(identity_coeff, float)
-        assert identity_coeff == pytest.approx(0.437 - 1 / 16)
+        assert identity_coeff == pytest.approx(0.563 - 1 / 16)
+
+    def test_near_rational_coefficient_stays_float(self):
+        c = 1 / 64 + 5e-10
+        w = Witness(beta=c, unitary=np.eye(4), matrix=c * np.eye(16))
+        coeff = pauli_decompose(w).coefficient("IIII")
+        assert isinstance(coeff, float)
+        assert coeff == pytest.approx(c, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["CNOT", "CZ", "SWAP", "iSWAP"])
+    def test_dressed_clifford_gates_stay_exact(self, name):
+        cliffords = _single_qubit_cliffords()
+        assert len(cliffords) == 24
+        rng = np.random.default_rng(17)
+        u, _ = EXACT_BETA[name]
+        for _ in range(6):
+            a, b, c, d = (cliffords[i] for i in rng.integers(0, 24, 4))
+            decomp = pauli_decompose(build_witness(kron(a, b) @ u @ kron(c, d)))
+            assert len(decomp.terms) == 16
+            assert all(isinstance(coeff, Fraction) for coeff, _ in decomp.terms)
 
 
 class TestMinimalSettings:
