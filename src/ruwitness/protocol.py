@@ -79,13 +79,19 @@ def setting_distribution(ch: KrausChannel, setting: str) -> np.ndarray:
     Outcome index bits follow the qubit order A, B, C, D (big-endian);
     bit 0 means eigenvalue +1, bit 1 means -1.
     """
+    return _born_vectors(ch, (setting,))[0]
+
+
+def _born_vectors(ch: KrausChannel, settings) -> list[np.ndarray]:
+    """Born vectors of several settings, read off one Choi state."""
     if ch.dim != 4:
         raise ValueError(f"channel must act on dimension 4, got {ch.dim}")
-    if len(setting) != 4 or any(a not in _AXIS_EIGENBASIS for a in setting):
-        raise ValueError(f"setting must be 4 letters over XYZ, got {setting!r}")
+    for setting in settings:
+        if len(setting) != 4 or any(a not in _AXIS_EIGENBASIS for a in setting):
+            raise ValueError(f"setting must be 4 letters over XYZ, got {setting!r}")
     c = choi_of(ch).matrix
-    r = kron(*[_AXIS_EIGENBASIS[a] for a in setting])
-    return np.real(np.diag(r.conj().T @ c @ r))
+    rotations = (kron(*[_AXIS_EIGENBASIS[a] for a in s]) for s in settings)
+    return [np.real(np.diag(r.conj().T @ c @ r)) for r in rotations]
 
 
 def _term_signs(string: str) -> np.ndarray:
@@ -114,13 +120,11 @@ def _assign_terms(terms, settings):
     return assignment
 
 
-def _estimate_from_weights(w, ch, settings, weights_for):
-    """Shared estimator core.
+def _estimate(w, ch, settings, plan):
+    """Shared estimator core; ``plan`` None means exact Born weights.
 
-    ``weights_for`` yields per-outcome weights (multinomial counts or exact
-    probabilities) plus the shot count, None meaning exact weights that
-    already sum to 1.  Counts are only divided by the shot number after the
-    dot products, which keeps deterministic-outcome channels bit-exact.
+    Sampled counts are only divided by the shot number after the dot
+    products, which keeps deterministic-outcome channels bit-exact.
     """
     decomp = pauli_decompose(w)
     if settings is None:
@@ -128,13 +132,20 @@ def _estimate_from_weights(w, ch, settings, weights_for):
     settings = tuple(settings)
     assignment = _assign_terms(decomp.terms, settings)
     identity = float(decomp.coefficient(IDENTITY_STRING))
+    born = _born_vectors(ch, settings)
 
     estimate = identity
     variance = 0.0
     per_setting = []
-    for index, setting in enumerate(settings):
+    for index, (setting, probs) in enumerate(zip(settings, born)):
         terms = assignment[setting]
-        weights, shots = weights_for(index, setting)
+        if plan is None:
+            weights, shots = probs, None
+        else:
+            shots = plan.shots_per_setting
+            rng = np.random.default_rng((plan.seed, index))
+            p = np.clip(probs, 0.0, None)  # clip eigendecomposition dust
+            weights = rng.multinomial(shots, p / p.sum()).astype(float)
         denom = 1.0 if shots is None else float(shots)
         term_estimates = []
         combined = np.zeros(16)
@@ -170,16 +181,7 @@ def estimate_expectation(
     independent), which is exact about correlations between Pauli terms
     sharing a setting.
     """
-    shots = plan.shots_per_setting
-
-    def weights_for(index: int, setting: str):
-        probs = setting_distribution(ch, setting)
-        rng = np.random.default_rng((plan.seed, index))
-        p = np.clip(probs, 0.0, None)  # clip eigendecomposition dust
-        counts = rng.multinomial(shots, p / p.sum())
-        return counts.astype(float), shots
-
-    return _estimate_from_weights(w, ch, settings, weights_for)
+    return _estimate(w, ch, settings, plan)
 
 
 def estimate_expectation_exact(
@@ -192,11 +194,7 @@ def estimate_expectation_exact(
     Matches :func:`ruwitness.witness.expectation` to numerical precision,
     which pins down estimator bias at the distribution level.
     """
-
-    def weights_for(index: int, setting: str):
-        return setting_distribution(ch, setting), None
-
-    return _estimate_from_weights(w, ch, settings, weights_for)
+    return _estimate(w, ch, settings, None)
 
 
 def result_json_obj(result: EstimateResult, plan: ShotPlan, settings) -> dict:

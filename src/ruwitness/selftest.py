@@ -1,15 +1,17 @@
-"""Invariant suite behind the ``selftest`` CLI command.
+"""Invariant registry run by the ``selftest`` CLI command and, one pytest
+case per check, by ``tests/test_acceptance.py``.
 
-Each check raises AssertionError on failure; the runner prints one
-PASS/FAIL line per check.  The suite covers every module-level invariant:
-algebra identities, CPT validity of all constructors, the three-way
-overlap equivalence, golden witness decompositions, minimal setting
-covers, closed-form versus Kraus agreement, SRU non-negativity, reference
-threshold reproduction, and estimator exactness.
+Each check raises on failure; the runner prints one PASS/FAIL line per
+check.  The registry covers every package-level invariant: algebra
+identities, CPT validity, the three-way overlap equivalence, golden
+witness decompositions, minimal setting covers, exact beta, closed-form
+versus Kraus agreement, SRU non-negativity, reference thresholds and
+estimator exactness.  Their tolerances and inputs are pinned here only.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from typing import Callable
 
@@ -65,14 +67,14 @@ def check_cz_dephasing_commutation() -> None:
 
 
 def check_overlap_equivalence() -> None:
-    for seed in range(20):
-        for dim in (2, 4):
-            m = channels.sample_channel(dim, 1 + seed % 3, seed=seed)
-            l = channels.sample_channel(dim, 1 + (seed + 1) % 3, seed=seed + 1000)
-            direct = choi.overlap_direct(choi.choi_of(m), choi.choi_of(l))
-            kraus = choi.overlap_kraus(m, l)
-            basis = choi.overlap_basis(m, l)
-            assert abs(direct - kraus) < 1e-10 and abs(kraus - basis) < 1e-10
+    for index in range(100):
+        dim = 2 if index < 50 else 4
+        m = channels.sample_channel(dim, 1 + index % 4, seed=index)
+        l = channels.sample_channel(dim, 1 + (index + 2) % 4, seed=index + 5000)
+        direct = choi.overlap_direct(choi.choi_of(m), choi.choi_of(l))
+        kraus = choi.overlap_kraus(m, l)
+        basis = choi.overlap_basis(m, l)
+        assert max(abs(direct - kraus), abs(kraus - basis), abs(direct - basis)) < 1e-10, index
 
 
 def check_apply_matches_choi() -> None:
@@ -89,11 +91,11 @@ def check_apply_matches_choi() -> None:
 
 def check_golden_decompositions() -> None:
     for gate in ("CNOT", "CZ"):
-        d = witness.pauli_decompose(witness.gate_witness(gate))
+        w = witness.gate_witness(gate)
+        d = witness.pauli_decompose(w)
         assert len(d.terms) == 16
         assert d.coefficient("IIII") == Fraction(7, 16)
         assert all(abs(c) == Fraction(1, 16) for c, s in d.terms if s != "IIII")
-        w = witness.gate_witness(gate)
         assert np.max(np.abs(d.to_matrix() - w.matrix)) < 1e-12
 
 
@@ -109,14 +111,13 @@ def check_minimal_settings() -> None:
 
 
 def check_beta_invariants() -> None:
-    b_cnot = witness.beta_sru(channels.gate_matrix("CNOT"))
-    b_cz = witness.beta_sru(channels.gate_matrix("CZ"))
-    assert abs(b_cnot - b_cz) < 1e-6  # local-unitary equivalence
-    for name, b in (("CNOT", b_cnot), ("CZ", b_cz)):
+    for name in ("CNOT", "CZ"):
         u = channels.gate_matrix(name)
-        floor = abs(np.trace(u)) ** 2 / 16
-        assert floor - 1e-9 <= b <= 1 + 1e-9
-        assert abs(b - 0.5) < 1e-6
+        t0 = time.perf_counter()
+        b = witness.beta_sru(u)
+        assert time.perf_counter() - t0 < 5.0, name
+        assert abs(np.trace(u)) ** 2 / 16 - 1e-12 <= b <= 1.0, (name, b)
+        assert abs(b - 0.5) < 1e-12, (name, b)
 
 
 def check_sru_nonnegativity() -> None:
@@ -126,57 +127,78 @@ def check_sru_nonnegativity() -> None:
         for w in witnesses:
             assert witness.expectation(w, ch) >= -1e-9
     for w in witnesses:
-        noiseless = channels.unitary_channel(w.unitary)
-        assert witness.expectation(w, noiseless) == -0.5
+        assert witness.expectation(w, channels.unitary_channel(w.unitary)) == -0.5
 
 
 def check_closed_forms() -> None:
-    grid = [i / 8 for i in range(9)]
+    grid = [i / 20 for i in range(21)]
     for gate in robustness.GATE_NAMES:
         w = witness.gate_witness(gate)
         for kind in robustness.NOISE_KINDS:
             for q1 in grid:
                 for q2 in grid:
                     cf = robustness.closed_form(gate, kind, q1, q2)
-                    num = witness.expectation(
-                        w, robustness.noisy_gate(gate, robustness.NoiseSpec(kind, q1, q2))
-                    )
-                    assert abs(cf - num) < 1e-10
+                    spec = robustness.NoiseSpec(kind, q1, q2)
+                    num = witness.expectation(w, robustness.noisy_gate(gate, spec))
+                    assert abs(cf - num) < 1e-10, (gate, kind, q1, q2, cf - num)
                     assert abs(cf - robustness.closed_form(gate, kind, q2, q1)) < 1e-14
 
 
+def _unit_root(coeffs) -> float:
+    """The one real root in [0, 1] of a polynomial, by ``np.roots``."""
+    roots = np.roots(coeffs)
+    (root,) = [r.real for r in roots if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= 1 + 1e-12]
+    return root
+
+
 def check_thresholds() -> None:
-    # (gate, kind, mode, reference two-decimal value)
-    reference = [
-        ("CNOT", "depolarising", "before_only", 0.39),
-        ("CNOT", "depolarising", "equal", 0.21),
-        ("CNOT", "dephasing", "before_only", 0.29),
-        ("CNOT", "dephasing", "equal", 0.17),
-        ("CZ", "dephasing", "before_only", 0.29),
-        ("CZ", "bitflip", "before_only", 0.29),
-        ("CZ", "bitflip", "equal", 0.16),
-        ("CNOT", "amplitude_damping", "before_only", 0.53),
-        ("CNOT", "amplitude_damping", "equal", 0.31),
-        ("CZ", "amplitude_damping", "before_only", 0.53),
-        ("CZ", "amplitude_damping", "equal", 0.31),
+    # Exact roots, independent of the bisection: radical forms, or the root
+    # of the polynomial an equal-strength slice reduces to: depolarising
+    # (q-2)^2 (5q^2 - 8q + 4) = 8, CNOT dephasing 8q^3 - 14q^2 + 8q = 1, and
+    # CNOT damping s^8 + 2s^6 + 4s^5 + 2s^4 + 4s^3 + 2s^2 = 7, s = sqrt(1 - gamma).
+    depol_equal = _unit_root([5, -28, 56, -48, 8])
+    s = _unit_root([1, 0, 2, 4, 2, 4, 2, 0, -7])
+    sqrt2 = np.sqrt(2.0)
+    depol, deph, damp = (4 - 2 * sqrt2) / 3, 1 - 1 / sqrt2, 1 - (8**0.25 - 1) ** 2
+    window = np.sqrt(sqrt2 - 1) / 2
+    cases = [
+        # gates, kind, mode, exact roots, reference two-decimal values
+        (("CNOT", "CZ"), "depolarising", "before_only", [depol], [0.39]),
+        (("CNOT", "CZ"), "depolarising", "equal", [depol_equal], [0.21]),
+        (("CNOT",), "dephasing", "before_only", [deph], [0.29]),
+        (("CNOT",), "dephasing", "equal", [_unit_root([8, -14, 8, -1])], [0.17]),
+        (("CZ",), "dephasing", "before_only", [deph], [0.29]),
+        (("CZ",), "dephasing", "equal", [0.5 - window, 0.5 + window], [0.18, 0.82]),
+        (("CZ",), "bitflip", "before_only", [deph], [0.29]),
+        (("CZ",), "bitflip", "equal", [1 - 2 ** (-0.25)], [0.16]),
+        (("CNOT", "CZ"), "amplitude_damping", "before_only", [damp], [0.53]),
+        (("CNOT",), "amplitude_damping", "equal", [1 - s**2], [0.31]),
+        (("CZ",), "amplitude_damping", "equal", [2 - 8**0.25], [0.31]),
     ]
-    for gate, kind, mode, value in reference:
-        roots = robustness.threshold(gate, kind, mode)
-        assert len(roots) == 1, (gate, kind, mode, roots)
-        # printed values are rounded or truncated to two decimals
-        assert value - 0.005 <= roots[0] < value + 0.01, (gate, kind, mode, roots)
-    two = robustness.threshold("CZ", "dephasing", "equal")
-    assert len(two) == 2
-    assert abs(two[0] - 0.18) < 0.005 and abs(two[1] - 0.82) < 0.005
+    for gates, kind, mode, exact, reference in cases:
+        for gate in gates:
+            roots = robustness.threshold(gate, kind, mode)
+            assert len(roots) == len(exact), (gate, kind, mode, roots)
+            for root, target, value in zip(roots, exact, reference):
+                assert abs(root - target) < 5e-9, (gate, kind, mode, root, target)
+                # the reference values are quoted to two decimals, some
+                # rounded and some truncated, so accept either reading
+                assert value - 0.005 <= root < value + 0.01, (gate, kind, mode, root)
+    # bit flip on CNOT is the same function as dephasing on CNOT
+    for i, j in np.ndindex(5, 5):
+        flip = robustness.closed_form("CNOT", "bitflip", i / 4, j / 4)
+        assert flip == robustness.closed_form("CNOT", "dephasing", i / 4, j / 4), (i / 4, j / 4)
 
 
 def check_exact_estimator() -> None:
+    cases = [("depolarising", 0.0, 0.0), ("depolarising", 0.2, 0.1), ("dephasing", 0.3, 0.2),
+             ("amplitude_damping", 0.3, 0.0), ("amplitude_damping", 0.4, 0.1)]
     for gate in ("CNOT", "CZ"):
         w = witness.gate_witness(gate)
-        for kind, q1, q2 in (("depolarising", 0.2, 0.1), ("amplitude_damping", 0.3, 0.0)):
+        for kind, q1, q2 in cases:
             ch = robustness.noisy_gate(gate, robustness.NoiseSpec(kind, q1, q2))
             exact = protocol.estimate_expectation_exact(w, ch)
-            assert abs(exact.estimate - witness.expectation(w, ch)) < 1e-10
+            assert abs(exact.estimate - witness.expectation(w, ch)) < 1e-10, (gate, kind)
             assert exact.std_error == 0.0
 
 

@@ -1,4 +1,4 @@
-"""Frozen expected values shared between the unit and acceptance suites."""
+"""Frozen expected values for the unit tests."""
 
 from fractions import Fraction
 

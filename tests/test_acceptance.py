@@ -1,231 +1,18 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per check in ``ruwitness.selftest.CHECKS``.
 
-Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
-per-criterion lines as they pass).  Every tolerance is pinned here.
+``ruwitness selftest`` runs the same registry from the command line, so
+the two cannot drift apart.  Every acceptance tolerance and input set is
+pinned in ``src/ruwitness/selftest.py``; this file adds none.  Run with
+``pytest tests/test_acceptance.py -v``.
 """
 
-import json
-import math
-import time
+import pytest
 
-import numpy as np
+from ruwitness.selftest import CHECKS
 
-from golden import CNOT_TERMS, CZ_TERMS
-from ruwitness.channels import (
-    compose,
-    dephasing,
-    gate_matrix,
-    sample_channel,
-    sample_sru,
-    tensor,
-    unitary_channel,
+
+@pytest.mark.parametrize(
+    "check", [fn for _, fn in CHECKS], ids=[fn.__name__.removeprefix("check_") for _, fn in CHECKS]
 )
-from ruwitness.choi import choi_of, overlap_basis, overlap_direct, overlap_kraus
-from ruwitness.cli import main as cli_main
-from ruwitness.protocol import ShotPlan, estimate_expectation, estimate_expectation_exact
-from ruwitness.robustness import GATE_NAMES, NOISE_KINDS, NoiseSpec, closed_form, noisy_gate, threshold
-from ruwitness.witness import (
-    beta_sru,
-    cover_exists,
-    expectation,
-    minimal_settings,
-    gate_witness,
-    pauli_decompose,
-)
-
-
-def _report(number: int, text: str) -> None:
-    print(f"[criterion {number:2d}] PASS: {text}")
-
-
-def test_criterion_01_beta_reproduction():
-    for gate in ("CNOT", "CZ"):
-        t0 = time.perf_counter()
-        beta = beta_sru(gate_matrix(gate), restarts=200, tol=1e-8, seed=12345)
-        elapsed = time.perf_counter() - t0
-        assert abs(beta - 0.5) <= 1e-6, (gate, beta)
-        assert elapsed < 5.0, (gate, elapsed)
-    _report(1, "beta_sru(CNOT) = beta_sru(CZ) = 0.5 within 1e-6, under 5 s each")
-
-
-def test_criterion_02_witness_golden_coefficients():
-    # Exact rational comparison, zero tolerance.  The identity coefficient
-    # is 7/16 = 28/64 and the fifteen string coefficients are +-1/16 =
-    # +-4/64: these magnitudes are forced by W = Id/2 - C_U together with
-    # purity (Tr W = 16*beta - 1 = 7), while the strings and signs match
-    # the standard local decompositions term for term.
-    for gate, golden in (("CNOT", CNOT_TERMS), ("CZ", CZ_TERMS)):
-        decomp = pauli_decompose(gate_witness(gate))
-        got = {s: c for c, s in decomp.terms}
-        assert got == golden, gate
-    _report(2, "Pauli decompositions match the golden tables exactly (16 terms each)")
-
-
-def test_criterion_03_minimal_settings():
-    t0 = time.perf_counter()
-    for gate in ("CNOT", "CZ"):
-        decomp = pauli_decompose(gate_witness(gate))
-        cover = minimal_settings(decomp)
-        assert len(cover) == 9, (gate, cover)
-        assert not cover_exists(decomp, 8), gate  # exhaustive certificate
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0, elapsed
-    _report(3, "exact set cover: 9 settings for both witnesses, no size-8 cover")
-
-
-def test_criterion_04_closed_form_vs_kraus_oracle():
-    worst = 0.0
-    grid = [i / 20 for i in range(21)]
-    for gate in GATE_NAMES:
-        w = gate_witness(gate)
-        for kind in NOISE_KINDS:
-            for q1 in grid:
-                for q2 in grid:
-                    analytic = closed_form(gate, kind, q1, q2)
-                    numeric = expectation(w, noisy_gate(gate, NoiseSpec(kind, q1, q2)))
-                    worst = max(worst, abs(analytic - numeric))
-    assert worst < 1e-10, worst
-    _report(4, f"closed forms match Kraus numerics on 8 x 21x21 grids (max {worst:.2e})")
-
-
-def _real_roots_in_unit_interval(coeffs) -> list[float]:
-    roots = np.roots(coeffs)
-    real = [r.real for r in roots if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= 1 + 1e-12]
-    return sorted(real)
-
-
-def test_criterion_05_threshold_reproduction():
-    sqrt2 = math.sqrt(2.0)
-
-    # independent oracles for the two thresholds without a radical form:
-    # equal-strength depolarising solves (q-2)^2 (5q^2 - 8q + 4) = 8 and
-    # equal-strength damping on CNOT solves, with s = sqrt(1 - gamma),
-    # s^8 + 2s^6 + 4s^5 + 2s^4 + 4s^3 + 2s^2 = 7.
-    depol_equal_roots = _real_roots_in_unit_interval([5, -28, 56, -48, 8])
-    assert len(depol_equal_roots) == 1
-    depol_equal = depol_equal_roots[0]
-    s_roots = _real_roots_in_unit_interval([1, 0, 2, 4, 2, 4, 2, 0, -7])
-    assert len(s_roots) == 1
-    ad_cnot_equal = 1 - s_roots[0] ** 2
-
-    # dephasing CNOT equal solves 8q^3 - 14q^2 + 8q - 1 = 0 in [0, 1/2]
-    deph_equal_roots = _real_roots_in_unit_interval([8, -14, 8, -1])
-    assert len(deph_equal_roots) == 1
-    deph_cnot_equal = deph_equal_roots[0]
-
-    cases = [
-        # gate, kind, mode, exact roots, reference two-decimal values
-        ("CNOT", "depolarising", "before_only", [(4 - 2 * sqrt2) / 3], [0.39]),
-        ("CZ", "depolarising", "before_only", [(4 - 2 * sqrt2) / 3], [0.39]),
-        ("CNOT", "depolarising", "equal", [depol_equal], [0.21]),
-        ("CZ", "depolarising", "equal", [depol_equal], [0.21]),
-        ("CNOT", "dephasing", "before_only", [1 - 1 / sqrt2], [0.29]),
-        ("CNOT", "dephasing", "equal", [deph_cnot_equal], [0.17]),
-        ("CZ", "dephasing", "before_only", [1 - 1 / sqrt2], [0.29]),
-        (
-            "CZ",
-            "dephasing",
-            "equal",
-            [(1 - math.sqrt(sqrt2 - 1)) / 2, (1 + math.sqrt(sqrt2 - 1)) / 2],
-            [0.18, 0.82],
-        ),
-        ("CZ", "bitflip", "before_only", [1 - 1 / sqrt2], [0.29]),
-        ("CZ", "bitflip", "equal", [1 - 2 ** (-0.25)], [0.16]),
-        ("CNOT", "amplitude_damping", "before_only", [1 - (8**0.25 - 1) ** 2], [0.53]),
-        ("CNOT", "amplitude_damping", "equal", [ad_cnot_equal], [0.31]),
-        ("CZ", "amplitude_damping", "before_only", [1 - (8**0.25 - 1) ** 2], [0.53]),
-        ("CZ", "amplitude_damping", "equal", [2 - 8**0.25], [0.31]),
-    ]
-    for gate, kind, mode, exact, reference in cases:
-        roots = threshold(gate, kind, mode)
-        assert len(roots) == len(exact), (gate, kind, mode, roots)
-        for root, target, two_decimal in zip(roots, exact, reference):
-            assert abs(root - target) < 5e-9, (gate, kind, mode, root, target)
-            # the reference values are quoted to two decimals, some
-            # rounded and some truncated, so accept either reading
-            assert two_decimal - 0.005 <= root < two_decimal + 0.01, (
-                gate, kind, mode, root, two_decimal,
-            )
-
-    # bit flip on CNOT is the same function as dephasing on CNOT
-    for q1 in (0.0, 0.25, 0.5, 0.75, 1.0):
-        for q2 in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert closed_form("CNOT", "bitflip", q1, q2) == closed_form(
-                "CNOT", "dephasing", q1, q2
-            )
-    _report(5, "all reference thresholds reproduced (exact roots and 2-decimal values)")
-
-
-def test_criterion_06_sru_nonnegativity():
-    witnesses = {g: gate_witness(g) for g in ("CNOT", "CZ")}
-    minimum = np.inf
-    for seed in range(1000):
-        ch = sample_sru(1 + seed % 6, seed=seed)
-        for w in witnesses.values():
-            minimum = min(minimum, expectation(w, ch))
-    assert minimum >= -1e-9, minimum
-    for gate, w in witnesses.items():
-        assert expectation(w, unitary_channel(gate_matrix(gate))) == -0.5, gate
-    _report(6, f"1000 SRU channels all non-negative (min {minimum:.3f}); noiseless = -1/2")
-
-
-def test_criterion_07_overlap_three_way_equivalence():
-    worst = 0.0
-    for index in range(100):
-        dim = 2 if index < 50 else 4
-        m = sample_channel(dim, terms=1 + index % 4, seed=index)
-        l = sample_channel(dim, terms=1 + (index + 2) % 4, seed=index + 5000)
-        direct = overlap_direct(choi_of(m), choi_of(l))
-        kraus = overlap_kraus(m, l)
-        basis = overlap_basis(m, l)
-        worst = max(worst, abs(direct - kraus), abs(kraus - basis), abs(direct - basis))
-    assert worst < 1e-10, worst
-    _report(7, f"overlap_direct = overlap_kraus = overlap_basis on 100 pairs (max {worst:.2e})")
-
-
-def test_criterion_08_cz_dephasing_commutation():
-    cz = unitary_channel(gate_matrix("CZ"))
-    for q in (0.1, 0.5, 0.9):
-        noise = tensor(dephasing(q), dephasing(q))
-        before = choi_of(compose(cz, noise)).matrix
-        after = choi_of(compose(noise, cz)).matrix
-        assert np.max(np.abs(before - after)) <= 1e-12, q
-    _report(8, "Choi states of noise∘CZ and CZ∘noise agree entrywise to 1e-12")
-
-
-def test_criterion_09_monte_carlo_consistency():
-    w = gate_witness("CNOT")
-    ch = unitary_channel(gate_matrix("CNOT"))
-    result = estimate_expectation(w, ch, ShotPlan(shots_per_setting=100_000, seed=2024))
-    assert abs(result.estimate - (-0.5)) <= 3 * result.std_error, result
-
-    for kind, q1, q2 in (("depolarising", 0.0, 0.0), ("dephasing", 0.3, 0.2),
-                         ("amplitude_damping", 0.4, 0.1)):
-        noisy = noisy_gate("CNOT", NoiseSpec(kind, q1, q2))
-        exact = estimate_expectation_exact(w, noisy)
-        assert abs(exact.estimate - expectation(w, noisy)) <= 1e-10, kind
-    _report(9, "10^5-shot estimate within 3 sigma of -0.5; exact-distribution estimator unbiased")
-
-
-def test_criterion_10_cli_determinism(tmp_path, capsys):
-    commands = [
-        ["sweep", "--gate", "cnot", "--noise", "dephasing", "--grid", "21"],
-        ["sweep", "--gate", "cz", "--noise", "amplitude_damping", "--grid", "11",
-         "--format", "json"],
-        ["threshold", "--gate", "cz", "--noise", "dephasing", "--mode", "equal"],
-        ["simulate", "--gate", "cnot", "--noise", "depolarising", "--q1", "0.1",
-         "--q2", "0.05", "--shots", "20000", "--seed", "77"],
-    ]
-    for index, argv in enumerate(commands):
-        outputs = []
-        for attempt in (0, 1):
-            path = tmp_path / f"cmd{index}_run{attempt}"
-            assert cli_main(argv + ["--out", str(path)]) == 0
-            outputs.append(path.read_bytes())
-        capsys.readouterr()
-        assert outputs[0] == outputs[1], argv
-    # spot-check the simulate JSON is well-formed
-    obj = json.loads(outputs[0])
-    assert set(obj) == {"estimate", "std_error", "detected", "shots_per_setting",
-                        "seed", "settings"}
-    _report(10, "repeated CLI runs with identical flags produce byte-identical files")
+def test_invariant(check):
+    check()

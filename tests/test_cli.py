@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ruwitness import selftest
 from ruwitness.cli import main
 
 
@@ -175,6 +176,8 @@ class TestSimulateCommand:
         assert code == 0
         assert "estimate  = -0.500000000000" in out
         obj = json.loads(path.read_text())
+        assert set(obj) == {"estimate", "std_error", "detected", "shots_per_setting",
+                            "seed", "settings"}
         assert obj["detected"] is True
         assert obj["shots_per_setting"] == 20000
         assert obj["seed"] == 9
@@ -187,6 +190,28 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "--shots" in err
+
+
+class TestSelftestCommand:
+    REPORT = ["[PASS] passes", "[FAIL] fails: AssertionError('deliberate')"]
+
+    @pytest.fixture
+    def one_failing_check(self, monkeypatch):
+        def broken():
+            raise AssertionError("deliberate")
+
+        monkeypatch.setattr(selftest, "CHECKS", (("passes", lambda: None), ("fails", broken)))
+
+    def test_run_all_reports_each_check(self, one_failing_check):
+        lines = []
+        assert selftest.run_all(lines.append) == 1
+        assert lines == self.REPORT
+
+    def test_failure_exits_two(self, capsys, one_failing_check):
+        code, out, err = run(capsys, "selftest")
+        assert code == 2
+        assert out.splitlines() == self.REPORT
+        assert "1 check(s) failed" in err
 
 
 class TestParsing:
@@ -212,6 +237,12 @@ class TestParsing:
     [
         ("sweep", "--gate", "cnot", "--noise", "amplitude_damping", "--grid", "4"),
         ("threshold", "--gate", "cz", "--noise", "bitflip", "--mode", "equal"),
+        ("sweep", "--gate", "cnot", "--noise", "dephasing", "--grid", "21"),
+        ("sweep", "--gate", "cz", "--noise", "amplitude_damping", "--grid", "11",
+         "--format", "json"),
+        ("threshold", "--gate", "cz", "--noise", "dephasing", "--mode", "equal"),
+        ("simulate", "--gate", "cnot", "--noise", "depolarising", "--q1", "0.1",
+         "--q2", "0.05", "--shots", "20000", "--seed", "77"),
     ],
 )
 def test_output_files_are_byte_identical_across_runs(capsys, tmp_path, argv):

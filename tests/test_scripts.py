@@ -1,0 +1,57 @@
+"""Smoke tests for the experiment scripts in ``scripts/``."""
+
+import io
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from ruwitness.robustness import (
+    GATE_NAMES,
+    NOISE_KINDS,
+    THRESHOLD_MODES,
+    sweep,
+    threshold,
+    write_sweep_csv,
+)
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture
+def run_script(monkeypatch, capsys):
+    def run(name, *args):
+        main = runpy.run_path(str(SCRIPTS / name))["main"]
+        monkeypatch.setattr(sys, "argv", [name, *args])
+        code = main()
+        capsys.readouterr()
+        return code
+
+    return run
+
+
+def test_threshold_table_json_matches_library(run_script, tmp_path):
+    path = tmp_path / "roots.json"
+    assert run_script("threshold_table.py", "--json", str(path)) == 0
+    records = json.loads(path.read_text())
+    expected = [(g, k, m) for g in GATE_NAMES for k in NOISE_KINDS for m in THRESHOLD_MODES]
+    assert [(r["gate"], r["noise"], r["mode"]) for r in records] == expected  # all 24
+    for r in records:
+        assert r["roots"] == threshold(r["gate"], r["noise"], r["mode"])
+
+
+def test_detection_regions_writes_library_csvs(run_script, tmp_path):
+    assert run_script("detection_regions.py", "--grid", "3", "--out-dir", str(tmp_path)) == 0
+    assert len(list(tmp_path.iterdir())) == 8
+    for gate in GATE_NAMES:
+        for kind in NOISE_KINDS:
+            buf = io.StringIO()
+            write_sweep_csv(sweep(gate, kind, 3), buf)
+            written = (tmp_path / f"{gate.lower()}_{kind}.csv").read_bytes()
+            assert written == buf.getvalue().encode()
+
+
+def test_shot_convergence_runs(run_script):
+    assert run_script("shot_convergence.py") == 0
