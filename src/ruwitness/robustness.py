@@ -7,9 +7,9 @@ on both lines before and after the gate,
 
 with independent strengths q1 (pre) and q2 (post).  For each of the four
 noise kinds and both gates, :func:`closed_form` evaluates the analytic
-witness expectation Tr[W_U C_M]; the test suite checks it against the
-first-principles Kraus computation on a dense grid, which is the master
-validation of every formula below.
+witness expectation Tr[W_U C_M]; the selftest checks it against both
+:func:`noisy_gate` (Pauli transfer matrices) and the first-principles
+Kraus composition on a dense grid, the master validation of every formula.
 
 Threshold extraction works on one-parameter slices (pre-only, post-only,
 or equal strengths) by a dense sign scan plus bisection, so the same code
@@ -27,14 +27,11 @@ from typing import Callable, IO, Iterable
 from .channels import (
     KrausChannel,
     _check_unit_interval,
+    _noisy_gate_channel,
     amplitude_damping,
     bit_flip,
-    compose,
     dephasing,
     depolarising,
-    gate_matrix,
-    tensor,
-    unitary_channel,
 )
 from .serialize import fmt12, round12
 from .witness import Witness, expectation, gate_witness
@@ -91,12 +88,11 @@ def single_qubit_noise(kind: str, q: float) -> KrausChannel:
 
 
 def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
-    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1) as one Kraus channel."""
-    name = _check_gate(gate)
-    pre = single_qubit_noise(noise.kind, noise.q1)
-    post = single_qubit_noise(noise.kind, noise.q2)
-    core = compose(unitary_channel(gate_matrix(name)), tensor(pre, pre))
-    return compose(tensor(post, post), core)
+    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1) with at most 16 Kraus operators; their order
+    and gauge are not part of the contract, so compare Choi states, not Kraus lists.
+    """
+    pre, post = (single_qubit_noise(noise.kind, q) for q in (noise.q1, noise.q2))
+    return _noisy_gate_channel(_check_gate(gate), pre, post)
 
 
 def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:
@@ -252,7 +248,7 @@ def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
 
 
 def numeric_expectation(gate: str, noise: NoiseSpec, w: Witness | None = None) -> float:
-    """First-principles route: Kraus-compose the noisy gate, then Tr[W C_M]."""
+    """Numeric route: build the noisy gate as a channel, then Tr[W C_M]."""
     if w is None:
         w = gate_witness(gate)
     return expectation(w, noisy_gate(gate, noise))

@@ -1,23 +1,29 @@
 """Invariant registry run by the ``selftest`` CLI command and, one pytest
 case per check, by ``tests/test_acceptance.py``.
 
-Each check raises on failure; the runner prints one PASS/FAIL line per
-check.  The registry covers every package-level invariant: algebra
-identities, CPT validity, the three-way overlap equivalence, golden
-witness decompositions, minimal setting covers, exact beta, closed-form
-versus Kraus agreement, SRU non-negativity, reference thresholds and
-estimator exactness.  Their tolerances and inputs are pinned here only.
+Each check raises through ``_require``, which ``python -O`` cannot strip;
+the runner prints one PASS/FAIL line per check.  The registry covers every
+package-level invariant: algebra identities, CPT validity, the three-way
+overlap equivalence, golden decompositions, minimal setting covers, exact
+beta, closed forms versus the PTM and Kraus routes, SRU non-negativity,
+reference thresholds and estimator exactness, pinned here only.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from . import channels, choi, linalg, protocol, robustness, witness
+
+
+def _require(condition: bool, detail: object = "") -> None:
+    if not condition:
+        raise AssertionError(detail)
 
 
 def _random_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -31,30 +37,30 @@ def check_kron_algebra() -> None:
         a, b, c = (_random_matrix(rng, d) for d in dims)
         left = linalg.kron(linalg.kron(a, b), c)
         right = linalg.kron(a, linalg.kron(b, c))
-        assert np.max(np.abs(left - right)) < 1e-14
-        assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+        _require(np.max(np.abs(left - right)) < 1e-14)
+        _require(abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12)
 
 
 def check_pauli_orthogonality() -> None:
     _, stack = linalg.pauli_basis(4)
     flat = stack.reshape(256, 256)
     gram = flat.conj() @ flat.T
-    assert np.max(np.abs(gram - 16 * np.eye(256))) < 1e-12
+    _require(np.max(np.abs(gram - 16 * np.eye(256))) < 1e-12)
 
 
 def check_constructors_cpt() -> None:
     for q in (0.0, 0.3, 1.0):
         for make in (channels.depolarising, channels.dephasing,
                      channels.bit_flip, channels.amplitude_damping):
-            assert channels.validate_cpt(make(q), 1e-10)
+            _require(channels.validate_cpt(make(q), 1e-10))
     for gate in ("CNOT", "CZ", "H"):
-        assert channels.validate_cpt(channels.unitary_channel(channels.gate_matrix(gate)))
+        _require(channels.validate_cpt(channels.unitary_channel(channels.gate_matrix(gate))))
     for seed in range(50):
-        assert channels.validate_cpt(channels.sample_sru(1 + seed % 6, seed))
+        _require(channels.validate_cpt(channels.sample_sru(1 + seed % 6, seed)))
     for gate in robustness.GATE_NAMES:
         for kind in robustness.NOISE_KINDS:
             ch = robustness.noisy_gate(gate, robustness.NoiseSpec(kind, 0.35, 0.15))
-            assert channels.validate_cpt(ch, 1e-10)
+            _require(channels.validate_cpt(ch, 1e-10))
 
 
 def check_cz_dephasing_commutation() -> None:
@@ -63,7 +69,7 @@ def check_cz_dephasing_commutation() -> None:
         noise = channels.tensor(channels.dephasing(q), channels.dephasing(q))
         before = choi.choi_of(channels.compose(cz, noise))
         after = choi.choi_of(channels.compose(noise, cz))
-        assert np.max(np.abs(before.matrix - after.matrix)) < 1e-12
+        _require(np.max(np.abs(before.matrix - after.matrix)) < 1e-12)
 
 
 def check_overlap_equivalence() -> None:
@@ -74,7 +80,7 @@ def check_overlap_equivalence() -> None:
         direct = choi.overlap_direct(choi.choi_of(m), choi.choi_of(l))
         kraus = choi.overlap_kraus(m, l)
         basis = choi.overlap_basis(m, l)
-        assert max(abs(direct - kraus), abs(kraus - basis), abs(direct - basis)) < 1e-10, index
+        _require(max(abs(direct - kraus), abs(kraus - basis), abs(direct - basis)) < 1e-10, index)
 
 
 def check_apply_matches_choi() -> None:
@@ -86,28 +92,28 @@ def check_apply_matches_choi() -> None:
         rho /= np.trace(rho)
         via_kraus = channels.apply(ch, rho)
         via_choi = choi.apply_via_choi(choi.choi_of(ch), rho)
-        assert np.max(np.abs(via_kraus - via_choi)) < 1e-10
+        _require(np.max(np.abs(via_kraus - via_choi)) < 1e-10)
 
 
 def check_golden_decompositions() -> None:
     for gate in ("CNOT", "CZ"):
         w = witness.gate_witness(gate)
         d = witness.pauli_decompose(w)
-        assert len(d.terms) == 16
-        assert d.coefficient("IIII") == Fraction(7, 16)
-        assert all(abs(c) == Fraction(1, 16) for c, s in d.terms if s != "IIII")
-        assert np.max(np.abs(d.to_matrix() - w.matrix)) < 1e-12
+        _require(len(d.terms) == 16)
+        _require(d.coefficient("IIII") == Fraction(7, 16))
+        _require(all(abs(c) == Fraction(1, 16) for c, s in d.terms if s != "IIII"))
+        _require(np.max(np.abs(d.to_matrix() - w.matrix)) < 1e-12)
 
 
 def check_minimal_settings() -> None:
     for gate in ("CNOT", "CZ"):
         d = witness.pauli_decompose(witness.gate_witness(gate))
         cover = witness.minimal_settings(d)
-        assert len(cover) == 9
-        assert not witness.cover_exists(d, 8)
+        _require(len(cover) == 9)
+        _require(not witness.cover_exists(d, 8))
         for _, s in d.terms:
             if s != "IIII":
-                assert any(witness.setting_covers(c, s) for c in cover)
+                _require(any(witness.setting_covers(c, s) for c in cover))
 
 
 def check_beta_invariants() -> None:
@@ -115,9 +121,9 @@ def check_beta_invariants() -> None:
         u = channels.gate_matrix(name)
         t0 = time.perf_counter()
         b = witness.beta_sru(u)
-        assert time.perf_counter() - t0 < 5.0, name
-        assert abs(np.trace(u)) ** 2 / 16 - 1e-12 <= b <= 1.0, (name, b)
-        assert abs(b - 0.5) < 1e-12, (name, b)
+        _require(time.perf_counter() - t0 < 5.0, name)
+        _require(abs(np.trace(u)) ** 2 / 16 - 1e-12 <= b <= 1.0, (name, b))
+        _require(abs(b - 0.5) < 1e-12, (name, b))
 
 
 def check_sru_nonnegativity() -> None:
@@ -125,23 +131,26 @@ def check_sru_nonnegativity() -> None:
     for seed in range(1000):
         ch = channels.sample_sru(1 + seed % 6, seed=seed)
         for w in witnesses:
-            assert witness.expectation(w, ch) >= -1e-9
+            _require(witness.expectation(w, ch) >= -1e-9)
     for w in witnesses:
-        assert witness.expectation(w, channels.unitary_channel(w.unitary)) == -0.5
+        _require(witness.expectation(w, channels.unitary_channel(w.unitary)) == -0.5)
 
 
 def check_closed_forms() -> None:
     grid = [i / 20 for i in range(21)]
     for gate in robustness.GATE_NAMES:
         w = witness.gate_witness(gate)
-        for kind in robustness.NOISE_KINDS:
-            for q1 in grid:
-                for q2 in grid:
-                    cf = robustness.closed_form(gate, kind, q1, q2)
-                    spec = robustness.NoiseSpec(kind, q1, q2)
-                    num = witness.expectation(w, robustness.noisy_gate(gate, spec))
-                    assert abs(cf - num) < 1e-10, (gate, kind, q1, q2, cf - num)
-                    assert abs(cf - robustness.closed_form(gate, kind, q2, q1)) < 1e-14
+        for kind, q1 in product(robustness.NOISE_KINDS, grid):
+            pre = robustness.single_qubit_noise(kind, q1)
+            core = channels.compose(channels.unitary_channel(w.unitary), channels.tensor(pre, pre))
+            for q2 in grid:
+                post = robustness.single_qubit_noise(kind, q2)
+                kraus = channels.compose(channels.tensor(post, post), core)
+                ptm = robustness.noisy_gate(gate, robustness.NoiseSpec(kind, q1, q2))
+                cf = robustness.closed_form(gate, kind, q1, q2)
+                for num in (witness.expectation(w, ptm), witness.expectation(w, kraus)):
+                    _require(abs(cf - num) < 1e-10, (gate, kind, q1, q2, cf - num))
+                _require(abs(cf - robustness.closed_form(gate, kind, q2, q1)) < 1e-14)
 
 
 def _unit_root(coeffs) -> float:
@@ -178,16 +187,16 @@ def check_thresholds() -> None:
     for gates, kind, mode, exact, reference in cases:
         for gate in gates:
             roots = robustness.threshold(gate, kind, mode)
-            assert len(roots) == len(exact), (gate, kind, mode, roots)
+            _require(len(roots) == len(exact), (gate, kind, mode, roots))
             for root, target, value in zip(roots, exact, reference):
-                assert abs(root - target) < 5e-9, (gate, kind, mode, root, target)
+                _require(abs(root - target) < 5e-9, (gate, kind, mode, root, target))
                 # the reference values are quoted to two decimals, some
                 # rounded and some truncated, so accept either reading
-                assert value - 0.005 <= root < value + 0.01, (gate, kind, mode, root)
+                _require(value - 0.005 <= root < value + 0.01, (gate, kind, mode, root))
     # bit flip on CNOT is the same function as dephasing on CNOT
     for i, j in np.ndindex(5, 5):
         flip = robustness.closed_form("CNOT", "bitflip", i / 4, j / 4)
-        assert flip == robustness.closed_form("CNOT", "dephasing", i / 4, j / 4), (i / 4, j / 4)
+        _require(flip == robustness.closed_form("CNOT", "dephasing", i / 4, j / 4), (i / 4, j / 4))
 
 
 def check_exact_estimator() -> None:
@@ -198,8 +207,8 @@ def check_exact_estimator() -> None:
         for kind, q1, q2 in cases:
             ch = robustness.noisy_gate(gate, robustness.NoiseSpec(kind, q1, q2))
             exact = protocol.estimate_expectation_exact(w, ch)
-            assert abs(exact.estimate - witness.expectation(w, ch)) < 1e-10, (gate, kind)
-            assert exact.std_error == 0.0
+            _require(abs(exact.estimate - witness.expectation(w, ch)) < 1e-10, (gate, kind))
+            _require(exact.std_error == 0.0)
 
 
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
@@ -213,7 +222,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("minimal measurement settings (9, no 8-cover)", check_minimal_settings),
     ("exact beta invariants", check_beta_invariants),
     ("SRU non-negativity over 1000 channels", check_sru_nonnegativity),
-    ("closed forms match Kraus numerics", check_closed_forms),
+    ("closed forms match the PTM and Kraus routes", check_closed_forms),
     ("reference thresholds reproduced", check_thresholds),
     ("exact-distribution estimator is unbiased", check_exact_estimator),
 )

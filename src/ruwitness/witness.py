@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import ceil
 
@@ -86,12 +87,13 @@ def build_witness(
     return Witness(beta=float(beta), unitary=u, matrix=matrix, gate=gate)
 
 
+@lru_cache(maxsize=None)
 def gate_witness(gate: str) -> Witness:
-    """The CNOT or CZ witness with its certified offset beta = 1/2."""
+    """The CNOT or CZ witness with its certified offset beta = 1/2, built once per gate."""
     name = gate.upper()
     if name not in ("CNOT", "CZ"):
         raise ValueError(f"gate must be CNOT or CZ, got {gate!r}")
-    return build_witness(gate_matrix(name), 0.5, gate=name)
+    return build_witness(gate_matrix(name), 0.5, gate=name) if gate == name else gate_witness(name)
 
 
 def beta_sru(

@@ -1,5 +1,10 @@
 """Independent second routes for the test suite.
 
+``kraus_noisy_gate`` composes a noisy gate by pairwise products of the
+Kraus lists of its parts (256 operators under depolarising noise).  It is
+the first-principles reference for ``ruwitness.robustness.noisy_gate``,
+which composes Pauli transfer matrices.
+
 ``beta_search`` is the multi-start Nelder-Mead search that computed the
 witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
@@ -8,6 +13,16 @@ unitary, so it is a certified lower bound on the exact offset.
 
 import numpy as np
 from scipy.optimize import minimize
+
+from ruwitness.channels import compose, gate_matrix, tensor, unitary_channel
+from ruwitness.robustness import single_qubit_noise
+
+
+def kraus_noisy_gate(gate: str, noise):
+    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1) by pairwise Kraus products."""
+    pre = single_qubit_noise(noise.kind, noise.q1)
+    post = single_qubit_noise(noise.kind, noise.q2)
+    return compose(tensor(post, post), compose(unitary_channel(gate_matrix(gate)), tensor(pre, pre)))
 
 # Start simplexes for the beta search live on [0, 2*pi)^6; the Euler-angle
 # map in _negative_overlap_factory is surjective onto U(2) up to global

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ruwitness
 from ruwitness import selftest
 from ruwitness.cli import main
 
@@ -212,6 +218,28 @@ class TestSelftestCommand:
         assert code == 2
         assert out.splitlines() == self.REPORT
         assert "1 check(s) failed" in err
+
+    def test_failures_survive_optimised_mode(self):
+        """Under ``python -O`` a wrong beta still fails its check and the run."""
+        script = textwrap.dedent("""
+            import sys
+            from ruwitness import selftest, witness
+            assert False, "assert statements are stripped"
+            print("optimize", sys.flags.optimize)
+            witness.beta_sru = lambda u, *args, **kwargs: 0.4
+            try:
+                selftest.check_beta_invariants()
+            except AssertionError:
+                print("check raised")
+            selftest.CHECKS = tuple(c for c in selftest.CHECKS if c[1] is selftest.check_beta_invariants)
+            print("failures", selftest.run_all())
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(ruwitness.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout.splitlines()
+        assert out[:2] == ["optimize 1", "check raised"]
+        assert out[2].startswith("[FAIL] exact beta invariants: AssertionError(")
+        assert out[3] == "failures 1"
 
 
 class TestParsing:

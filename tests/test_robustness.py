@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruwitness.channels import gate_matrix, unitary_channel
+from ruwitness.channels import gate_matrix, unitary_channel, validate_cpt
 from ruwitness.choi import choi_of
 from ruwitness.robustness import (
     GATE_NAMES,
@@ -23,6 +24,8 @@ from ruwitness.robustness import (
     write_sweep_csv,
 )
 from ruwitness.witness import expectation, gate_witness
+
+from oracles import kraus_noisy_gate
 
 ALL_COMBOS = [(g, k) for g in GATE_NAMES for k in NOISE_KINDS]
 
@@ -52,7 +55,19 @@ class TestNoisyGate:
 
     def test_depolarising_kraus_count(self):
         ch = noisy_gate("CNOT", NoiseSpec("depolarising", 0.4, 0.4))
-        assert ch.n_kraus == 256  # 16 * 1 * 16 pairwise products, none zero
+        assert ch.n_kraus == 16  # full Choi rank; the Kraus route gives 256
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_matches_kraus_composition(self, gate, kind):
+        grid = [i / 5 for i in range(6)]
+        for q1, q2 in itertools.product(grid, grid):
+            noise = NoiseSpec(kind, q1, q2)
+            ch = noisy_gate(gate, noise)
+            choi = choi_of(ch).matrix
+            reference = choi_of(kraus_noisy_gate(gate, noise)).matrix
+            assert np.max(np.abs(choi - reference)) < 1e-12, (q1, q2)
+            assert ch.n_kraus == np.linalg.matrix_rank(choi) <= 16, (q1, q2)
+            assert validate_cpt(ch), (q1, q2)
 
     def test_amplitude_damping_one_sided_count(self):
         ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.4, 0.0))

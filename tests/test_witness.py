@@ -185,6 +185,14 @@ class TestBuildWitness:
         c = choi_of(unitary_channel(gate_matrix("CNOT")))
         assert np.max(np.abs(w.matrix - (0.5 * np.eye(16) - c.matrix))) == 0.0
 
+    def test_gate_witness_is_built_once_per_gate(self):
+        w = gate_witness("cnot")
+        assert w is gate_witness("CNOT")
+        assert not w.matrix.flags.writeable and not w.unitary.flags.writeable
+        for _ in range(2):  # a failed lookup is not cached
+            with pytest.raises(ValueError):
+                gate_witness("swap")
+
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
             build_witness(np.eye(4), 0.0)
