@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import ceil
 
@@ -64,6 +64,10 @@ class Witness:
             a = np.array(getattr(self, field), dtype=complex)
             a.setflags(write=False)
             object.__setattr__(self, field, a)
+
+    @cached_property
+    def _decomposition(self) -> PauliDecomposition:
+        return _decompose(self.matrix, _DEFAULT_CUTOFF)
 
 
 def build_witness(
@@ -130,6 +134,11 @@ class PauliDecomposition:
 
     terms: tuple[tuple[Fraction | float, str], ...]
 
+    @cached_property
+    def _cover(self) -> tuple[str, ...]:
+        masks, cand_for = _cover_problem(self)
+        return tuple(ALL_SETTINGS[j] for j in best_cover(masks, cand_for, len(cand_for)))
+
     def coefficient(self, string: str) -> Fraction | float:
         for coeff, s in self.terms:
             if s == string:
@@ -160,12 +169,23 @@ def _coeff_str(coeff: Fraction | float) -> str:
 # A coefficient snaps to k/64 only at round-off level; dressed Clifford
 # witnesses sit within 1.1e-16 of their 64ths.
 _SNAP_TOL = 1e-12
+_DEFAULT_CUTOFF = 1e-12
 
 
-def pauli_decompose(w: Witness, cutoff: float = 1e-12) -> PauliDecomposition:
-    """Expand the witness over Pauli strings: coeff(P) = Tr[P W]/16."""
+def pauli_decompose(w: Witness, cutoff: float = _DEFAULT_CUTOFF) -> PauliDecomposition:
+    """Expand the witness over Pauli strings: coeff(P) = Tr[P W]/16.
+
+    At the default cutoff the decomposition is computed once per witness
+    and cached on it.
+    """
+    if cutoff == _DEFAULT_CUTOFF:
+        return w._decomposition
+    return _decompose(w.matrix, cutoff)
+
+
+def _decompose(matrix: np.ndarray, cutoff: float) -> PauliDecomposition:
     strings, stack = pauli_basis(4)
-    coeffs = np.einsum("pij,ji->p", stack, w.matrix) / 16.0
+    coeffs = np.einsum("pij,ji->p", stack, matrix) / 16.0
     if np.max(np.abs(coeffs.imag)) > 1e-12:
         raise ArithmeticError("witness matrix is not Hermitian")
     terms: list[tuple[Fraction | float, str]] = []
@@ -265,10 +285,10 @@ def minimal_settings(decomp: PauliDecomposition) -> tuple[str, ...]:
     candidate settings certifies minimality.  Ties between equal-size
     covers break lexicographically on the sorted axis strings, so the
     output is reproducible.  The search finishes on generic witnesses too:
-    52 terms for sqrt(SWAP), 226 for a Haar-random unitary.
+    52 terms for sqrt(SWAP), 226 for a Haar-random unitary.  The cover is
+    computed once per decomposition and cached on it.
     """
-    masks, cand_for = _cover_problem(decomp)
-    return tuple(ALL_SETTINGS[j] for j in best_cover(masks, cand_for, len(cand_for)))
+    return decomp._cover
 
 
 def expectation(w: Witness, m: KrausChannel) -> float:

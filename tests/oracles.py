@@ -5,6 +5,11 @@ Kraus lists of its parts (256 operators under depolarising noise).  It is
 the first-principles reference for ``ruwitness.robustness.noisy_gate``,
 which composes Pauli transfer matrices.
 
+``reference_estimate`` is the shot estimator as it was before the
+measurement plan: it decomposes the witness, assigns terms and builds each
+setting's rotation with ``kron`` on every call.  It is the reference for
+``ruwitness.protocol``, which compiles all of that once per witness.
+
 ``beta_search`` is the multi-start Nelder-Mead search that computed the
 witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
@@ -15,7 +20,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ruwitness.channels import compose, gate_matrix, tensor, unitary_channel
+from ruwitness.choi import choi_of
+from ruwitness.linalg import kron
+from ruwitness.protocol import EstimateResult
 from ruwitness.robustness import single_qubit_noise
+from ruwitness.witness import minimal_settings, pauli_decompose, setting_covers
 
 
 def kraus_noisy_gate(gate: str, noise):
@@ -23,6 +32,61 @@ def kraus_noisy_gate(gate: str, noise):
     pre = single_qubit_noise(noise.kind, noise.q1)
     post = single_qubit_noise(noise.kind, noise.q2)
     return compose(tensor(post, post), compose(unitary_channel(gate_matrix(gate)), tensor(pre, pre)))
+
+
+# Columns are the +1 and -1 eigenvectors of the measured Pauli axis.
+_EIGENBASIS = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0),
+    "Z": np.eye(2, dtype=complex),
+}
+
+
+def _outcome_signs(string: str) -> np.ndarray:
+    """Eigenvalue product of a Pauli string per outcome: the diagonal of its Z-type twin."""
+    factors = [np.eye(2) if p == "I" else np.diag([1.0, -1.0]) for p in string]
+    return np.real(np.diag(kron(*factors)))
+
+
+def reference_estimate(w, ch, plan=None, settings=None):
+    """Witness estimate with every step redone per call; ``plan`` None is exact."""
+    decomp = pauli_decompose(w)
+    settings = minimal_settings(decomp) if settings is None else tuple(settings)
+    assignment = {s: [] for s in settings}
+    for coeff, string in decomp.terms:
+        if string != "IIII":
+            first = next(s for s in settings if setting_covers(s, string))
+            assignment[first].append((float(coeff), string))
+    c = choi_of(ch).matrix
+    estimate = float(decomp.coefficient("IIII"))
+    variance = 0.0
+    per_setting = []
+    for index, setting in enumerate(settings):
+        r = kron(*[_EIGENBASIS[a] for a in setting])
+        probs = np.real(np.diag(r.conj().T @ c @ r))
+        if plan is None:
+            weights, shots = probs, None
+        else:
+            shots = plan.shots_per_setting
+            rng = np.random.default_rng((plan.seed, index))
+            p = np.clip(probs, 0.0, None)
+            weights = rng.multinomial(shots, p / p.sum()).astype(float)
+        denom = 1.0 if shots is None else float(shots)
+        term_estimates = []
+        combined = np.zeros(16)
+        for coeff, string in assignment[setting]:
+            signs = _outcome_signs(string)
+            term_estimates.append((string, float(signs @ weights) / denom))
+            combined += coeff * signs
+        mean = float(combined @ weights) / denom
+        estimate += mean
+        if shots is not None:
+            second = float((combined**2) @ weights) / denom
+            sample_var = max(second - mean**2, 0.0) * shots / max(shots - 1, 1)
+            variance += sample_var / shots
+        per_setting.append((setting, tuple(term_estimates)))
+    return EstimateResult(estimate, float(np.sqrt(variance)), tuple(per_setting))
+
 
 # Start simplexes for the beta search live on [0, 2*pi)^6; the Euler-angle
 # map in _negative_overlap_factory is surjective onto U(2) up to global

@@ -1,16 +1,36 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from ruwitness.channels import depolarising, gate_matrix, identity_channel, tensor, unitary_channel
+from ruwitness.channels import (
+    depolarising,
+    gate_matrix,
+    haar_unitary,
+    identity_channel,
+    tensor,
+    unitary_channel,
+)
 from ruwitness.protocol import (
+    EstimateResult,
     ShotPlan,
+    _plan_for,
     estimate_expectation,
     estimate_expectation_exact,
     result_json_obj,
     setting_distribution,
 )
-from ruwitness.robustness import NoiseSpec, noisy_gate
-from ruwitness.witness import expectation, minimal_settings, gate_witness, pauli_decompose
+from ruwitness.robustness import NOISE_KINDS, NoiseSpec, noisy_gate
+from ruwitness.witness import (
+    Witness,
+    build_witness,
+    expectation,
+    gate_witness,
+    minimal_settings,
+    pauli_decompose,
+)
+
+from oracles import reference_estimate
 
 
 def _cnot_channel():
@@ -25,6 +45,19 @@ class TestShotPlan:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             ShotPlan(shots_per_setting=10, seed=-1)
+
+    @pytest.mark.parametrize("shots,seed", [
+        (2.5, 1), (2.0, 1), (True, 1), (np.bool_(True), 1), ("10", 1),
+        (10, 1.0), (10, False), (10, None), (10, "1"),
+    ])
+    def test_rejects_non_integers(self, shots, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ShotPlan(shots_per_setting=shots, seed=seed)
+
+    def test_numpy_integers_become_ints(self):
+        plan = ShotPlan(np.int64(10), np.int32(3))
+        assert plan == ShotPlan(10, 3)
+        assert type(plan.shots_per_setting) is int and type(plan.seed) is int
 
 
 class TestSettingDistribution:
@@ -94,6 +127,129 @@ class TestExactEstimator:
         assert sorted(strings) == sorted(
             s for _, s in pauli_decompose(w).terms if s != "IIII"
         )
+
+
+class TestMeasurementPlan:
+    def _cnot(self):
+        w = gate_witness("CNOT")
+        return w, minimal_settings(pauli_decompose(w)), noisy_gate(
+            "CNOT", NoiseSpec("depolarising", 0.2, 0.1))
+
+    def test_repeated_setting_rejected(self):
+        # each repeat would count the repeated setting's terms once more:
+        # -0.242 in place of the exact -0.1205
+        w, settings, ch = self._cnot()
+        for repeated in (settings + settings[:1], settings[:1] * 2):
+            with pytest.raises(ValueError, match="repeat"):
+                estimate_expectation_exact(w, ch, settings=repeated)
+            with pytest.raises(ValueError, match="repeat"):
+                estimate_expectation(w, ch, ShotPlan(100, 1), settings=repeated)
+
+    def test_compiled_once_per_witness_and_settings(self):
+        w, settings, _ = self._cnot()
+        plan = _plan_for(w, None)
+        assert _plan_for(w, None) is plan
+        assert _plan_for(w, list(settings)) is plan
+        assert plan.settings == settings
+        reversed_plan = _plan_for(w, settings[::-1])
+        assert reversed_plan.settings == settings[::-1]
+        assert _plan_for(w, None).settings == settings
+
+    def test_plan_arrays_are_read_only(self):
+        w, settings, _ = self._cnot()
+        plan = _plan_for(w, settings)
+        for name in ("term_setting", "signs", "combined", "combined_sq", "rotations", "adjoints"):
+            array = getattr(plan, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            plan.settings = ()
+
+    def test_plan_contents(self):
+        w, settings, _ = self._cnot()
+        plan = _plan_for(w, settings)
+        assert plan.identity == 7 / 16
+        assert sum(plan.term_counts) == len(plan.strings) == 15
+        assert np.array_equal(plan.adjoints, plan.rotations.conj().transpose(0, 2, 1))
+        eye = np.eye(16)
+        for r in plan.rotations:
+            assert np.allclose(r.conj().T @ r, eye, atol=1e-15)
+
+    def test_invalid_input_raises_on_every_call(self):
+        w, settings, ch = self._cnot()
+        plan = ShotPlan(100, 1)
+        cases = [
+            (ch, settings[1:]),  # only XXXX covers XIXX
+            (ch, ("XXQX",) + settings[1:]),
+            (identity_channel(2), settings),
+            (identity_channel(2), None),
+        ]
+        for channel, chosen in cases:
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    estimate_expectation(w, channel, plan, settings=chosen)
+                with pytest.raises(ValueError):
+                    estimate_expectation_exact(w, channel, settings=chosen)
+                # a good call in between leaves a compiled plan behind
+                estimate_expectation_exact(w, ch, settings=settings)
+
+    def test_identity_only_witness_needs_no_settings(self):
+        w = Witness(beta=0.25, unitary=np.eye(4), matrix=0.25 * np.eye(16))
+        ch = identity_channel(4)
+        for result in (estimate_expectation(w, ch, ShotPlan(100, 1)),
+                       estimate_expectation_exact(w, ch)):
+            assert result == EstimateResult(0.25, 0.0, ())
+
+    def test_generic_witness_matches_reference(self):
+        # float coefficients and an 81-setting cover
+        u = haar_unitary(4, np.random.default_rng(5))
+        w = build_witness(u)
+        ch = noisy_gate("CNOT", NoiseSpec("amplitude_damping", 0.3, 0.2))
+        assert len(minimal_settings(pauli_decompose(w))) == 81
+        plan = ShotPlan(5000, 9)
+        got, want = estimate_expectation(w, ch, plan), reference_estimate(w, ch, plan)
+        assert got.estimate == pytest.approx(want.estimate, abs=1e-12)
+        assert got.std_error == pytest.approx(want.std_error, abs=1e-12)
+        assert got.per_setting == want.per_setting
+        exact = estimate_expectation_exact(w, ch)
+        assert exact.estimate == pytest.approx(expectation(w, ch), abs=1e-10)
+
+
+_STRENGTHS = ((0.0, 0.0), (1.0, 0.35), (0.2, 1.0), (0.55, 0.15))
+_VARIANTS = (  # (shot plan, reverse the caller-supplied settings)
+    (ShotPlan(1000, 0), False),
+    (ShotPlan(23_456, 1), False),
+    (ShotPlan(100_000, 2), False),
+    (ShotPlan(4321, 3), True),
+    (None, True),
+)
+
+
+@pytest.mark.parametrize("variant", range(len(_VARIANTS)))
+@pytest.mark.parametrize("q1,q2", _STRENGTHS)
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("gate", ["CNOT", "CZ"])
+def test_plan_matches_reference_route(gate, kind, q1, q2, variant):
+    shot_plan, reverse = _VARIANTS[variant]
+    w = gate_witness(gate)
+    ch = noisy_gate(gate, NoiseSpec(kind, q1, q2))
+    settings = minimal_settings(pauli_decompose(w))
+    chosen = settings[::-1] if reverse else None
+    if shot_plan is not None:
+        got = estimate_expectation(w, ch, shot_plan, settings=chosen)
+        assert got == reference_estimate(w, ch, shot_plan, settings=chosen)
+        return
+    for chosen in (None, settings[::-1]):
+        got = estimate_expectation_exact(w, ch, settings=chosen)
+        want = reference_estimate(w, ch, settings=chosen)
+        assert abs(got.estimate - want.estimate) <= 1e-12
+        assert got.std_error == want.std_error == 0.0
+        assert [(s, [t for t, _ in terms]) for s, terms in got.per_setting] == [
+            (s, [t for t, _ in terms]) for s, terms in want.per_setting]
+        got_values = [v for _, terms in got.per_setting for _, v in terms]
+        want_values = [v for _, terms in want.per_setting for _, v in terms]
+        assert np.max(np.abs(np.subtract(got_values, want_values))) <= 1e-12
 
 
 class TestSampledEstimator:

@@ -1,4 +1,5 @@
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -259,6 +260,31 @@ class TestPauliDecompose:
         assert isinstance(identity_coeff, float)
         assert identity_coeff == pytest.approx(0.563 - 1 / 16)
 
+    def test_cached_per_witness(self):
+        w = gate_witness("CNOT")
+        decomp = pauli_decompose(w)
+        assert pauli_decompose(w) is decomp
+        assert pauli_decompose(w, cutoff=1e-12) is decomp
+        other = pauli_decompose(w, cutoff=1e-9)
+        assert other is not decomp and other == decomp
+        fresh = build_witness(gate_matrix("CNOT"), 0.5)
+        assert pauli_decompose(fresh) is not decomp and pauli_decompose(fresh) == decomp
+
+    def test_cached_result_is_immutable(self):
+        decomp = pauli_decompose(gate_witness("CZ"))
+        with pytest.raises(FrozenInstanceError):
+            decomp.terms = ()
+        assert isinstance(decomp.terms, tuple)
+        assert all(isinstance(term, tuple) for term in decomp.terms)
+        with pytest.raises(ValueError):
+            gate_witness("CZ").matrix[0, 0] = 0
+
+    def test_non_hermitian_raises_on_every_call(self):
+        w = Witness(beta=0.5, unitary=np.eye(4), matrix=np.triu(np.ones((16, 16))))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                pauli_decompose(w)
+
     def test_near_rational_coefficient_stays_float(self):
         c = 1 / 64 + 5e-10
         w = Witness(beta=c, unitary=np.eye(4), matrix=c * np.eye(16))
@@ -327,15 +353,25 @@ class TestMinimalSettings:
     @pytest.mark.parametrize("string", ["XY", "XQII", "XYZXI"])
     def test_rejects_malformed_strings(self, string):
         decomp = _decomposition(string)
-        with pytest.raises(ValueError):
-            minimal_settings(decomp)
-        with pytest.raises(ValueError):
-            cover_exists(decomp, 81)
+        for _ in range(2):  # a failed search caches nothing
+            with pytest.raises(ValueError):
+                minimal_settings(decomp)
+            with pytest.raises(ValueError):
+                cover_exists(decomp, 81)
 
     def test_deterministic_output(self):
         cnot = pauli_decompose(gate_witness("CNOT"))
         assert minimal_settings(cnot) == tuple(sorted(KNOWN_CNOT_COVER))
         assert minimal_settings(pauli_decompose(gate_witness("CZ"))) == CZ_COVER
+
+    def test_cover_cached_per_decomposition(self):
+        decomp = pauli_decompose(gate_witness("CZ"))
+        cover = minimal_settings(decomp)
+        assert minimal_settings(decomp) is cover
+        fresh = PauliDecomposition(decomp.terms)
+        assert fresh == decomp
+        assert minimal_settings(fresh) == cover
+        assert isinstance(cover, tuple)
 
     def test_candidate_pool(self):
         assert len(ALL_SETTINGS) == 81
@@ -373,7 +409,8 @@ class TestExpectation:
 def test_minimal_settings_runtime_budget():
     t0 = time.perf_counter()
     for gate in ("CNOT", "CZ"):
-        decomp = pauli_decompose(gate_witness(gate))
+        # a fresh decomposition, so the search runs rather than the cached cover
+        decomp = PauliDecomposition(pauli_decompose(gate_witness(gate)).terms)
         assert len(minimal_settings(decomp)) == 9
         assert not cover_exists(decomp, 8)
     assert time.perf_counter() - t0 < 1.0
