@@ -1,19 +1,22 @@
 """Quantum channels in Kraus form.
 
-A channel is a completely positive trace-preserving (CPT) map stored as a
-finite list of Kraus operators ``A_k`` with ``sum_k A_k^dag A_k = 1``.
-This module provides the gate set used by the witness construction, the
-four standard single-qubit noise models, channel algebra (tensoring,
-sequential composition, application to density matrices) and seeded
-samplers for separable random-unitary and generic random channels.
+A channel is a completely positive trace-preserving (CPT) map stored as one
+read-only complex ``(n_kraus, dim, dim)`` array of Kraus operators ``A_k``
+with ``sum_k A_k^dag A_k = 1``; every function here reads that array whole,
+with no loop over operators.  This module provides the gate set used by the
+witness construction, the four standard single-qubit noise models, channel
+algebra (tensoring, sequential composition, application to density
+matrices) and seeded samplers for separable random-unitary and generic
+random channels.
 
 Conventions
 -----------
 * Gates use the big-endian qubit order: the control of CNOT/CZ is the most
   significant qubit.
 * Kraus operators that are exactly the zero matrix are dropped on
-  construction.  tensor/compose multiply Kraus counts; noisy gates are
-  composed as Pauli transfer matrices (PTMs) and have at most 16.
+  construction, and non-finite entries are rejected.  tensor/compose
+  multiply Kraus counts (first argument outer); noisy gates are composed
+  as Pauli transfer matrices (PTMs) and have at most 16.
 * A Kraus list is only unique up to a unitary gauge, so channel equality
   is never defined entrywise on Kraus operators; compare Choi states
   instead (see :mod:`ruwitness.choi`).
@@ -36,11 +39,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    PAULI_I,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
-    dagger,
     is_density_matrix,
     pauli_basis,
 )
@@ -75,34 +75,31 @@ def gate_matrix(name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPT map as a non-empty tuple of dim x dim Kraus operators."""
+    """A CPT map as one read-only complex (n_kraus, dim, dim) array of Kraus operators.
+
+    ``kraus`` may be given as any iterable of dim x dim matrices or as an
+    (n, dim, dim) array; it is copied once, and exact-zero operators are dropped.
+    """
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = []
-        for a in self.kraus:
-            a = np.array(a, dtype=complex)
-            if a.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"Kraus operator shape {a.shape} does not match dim {self.dim}"
-                )
-            if not a.any():  # exact zeros carry no weight
-                continue
-            a.setflags(write=False)
-            ops.append(a)
-        if not ops:
+        ops = self.kraus if isinstance(self.kraus, np.ndarray) else list(self.kraus)
+        ops = np.asarray(ops, dtype=complex)
+        if ops.shape[1:] != (self.dim, self.dim):
+            raise ValueError(f"Kraus stack shape {ops.shape} does not match dim {self.dim}")
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus operators must have finite entries")
+        ops = ops[ops.any(axis=(1, 2))]  # exact zeros carry no weight; the mask also copies
+        if not len(ops):
             raise ValueError("channel needs at least one nonzero Kraus operator")
-        object.__setattr__(self, "kraus", tuple(ops))
+        ops.setflags(write=False)
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def n_kraus(self) -> int:
         return len(self.kraus)
-
-    def stacked(self) -> np.ndarray:
-        """Kraus operators as one (n_kraus, dim, dim) array."""
-        return np.stack(self.kraus)
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -118,7 +115,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Check the completeness relation ||sum A^dag A - 1||_max <= tol."""
-    s = sum(dagger(a) @ a for a in ch.kraus)
+    s = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
     return bool(np.max(np.abs(s - np.eye(ch.dim))) <= tol)
 
 
@@ -138,9 +135,7 @@ def pauli_channel(p0: float, p1: float, p2: float, p3: float) -> KrausChannel:
         raise ValueError(f"Pauli probabilities must be non-negative, got {probs.tolist()}")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError(f"Pauli probabilities must sum to 1, got {probs.sum()!r}")
-    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-    kraus = tuple(np.sqrt(p) * s for p, s in zip(probs, paulis) if p > 0)
-    return KrausChannel(2, kraus)
+    return KrausChannel(2, np.sqrt(probs)[:, None, None] * pauli_basis(1)[1])
 
 
 def depolarising(q: float) -> KrausChannel:
@@ -166,23 +161,24 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 
 
 def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Parallel application a ⊗ b; Kraus set is all pairwise Kronecker products."""
-    kraus = tuple(np.kron(x, y) for x in a.kraus for y in b.kraus)
-    return KrausChannel(a.dim * b.dim, kraus)
+    """Parallel application a ⊗ b; Kraus set is all pairwise Kronecker products, a-outer."""
+    d = a.dim * b.dim
+    outer = a.kraus[:, None, :, None, :, None] * b.kraus[:, None, :, None, :]  # [x, y, i, k, j, l]
+    return KrausChannel(d, outer.reshape(-1, d, d))
 
 
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     """Sequential composition after∘before (``before`` acts first)."""
     if after.dim != before.dim:
         raise ValueError(f"dimension mismatch: {after.dim} vs {before.dim}")
-    kraus = tuple(b @ a for b in after.kraus for a in before.kraus)
-    return KrausChannel(after.dim, kraus)
+    d = after.dim
+    return KrausChannel(d, (after.kraus[:, None] @ before.kraus).reshape(-1, d, d))
 
 
 def _ptm(ch: KrausChannel) -> np.ndarray:
     """Pauli transfer matrix R_ij = Tr[P_i M(P_j)] / d of a one- or two-qubit channel."""
     _, paulis = pauli_basis(ch.dim.bit_length() - 1)
-    k, flat = ch.stacked(), paulis.reshape(len(paulis), -1)
+    k, flat = ch.kraus, paulis.reshape(len(paulis), -1)
     superop = np.einsum("kab,kcd->acbd", k, k.conj()).reshape(len(paulis), -1)  # sum A ⊗ conj(A)
     return (flat.conj() @ superop @ flat.T).real / ch.dim
 
@@ -207,13 +203,12 @@ def _noisy_gate_channel(gate: str, pre: KrausChannel, post: KrausChannel) -> Kra
     if lam[0] < -DEFAULT_TOL:
         raise ValueError(f"composed map is not completely positive: eigenvalue {lam[0]!r}")
     keep = lam > 1e-12  # round-off: dropping all of it moves the trace by at most 1.6e-11
-    return KrausChannel(4, tuple((np.sqrt(4 * lam[keep]) * vecs[:, keep]).T.reshape(-1, 4, 4)))
+    return KrausChannel(4, (np.sqrt(4 * lam[keep]) * vecs[:, keep]).T.reshape(-1, 4, 4))
 
 
 def _apply(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
     """sum_k A_k mat A_k^dag without density-matrix validation."""
-    k = ch.stacked()
-    return np.einsum("kij,jl,kml->im", k, mat, k.conj())
+    return np.einsum("kij,jl,kml->im", ch.kraus, mat, ch.kraus.conj())
 
 
 def apply(ch: KrausChannel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -265,7 +260,7 @@ def sample_channel(dim: int, terms: int, seed: int = 0) -> KrausChannel:
     s = np.einsum("kji,kjl->il", g.conj(), g)  # sum_k G^dag G
     w, v = np.linalg.eigh(s)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return KrausChannel(dim, tuple(gi @ inv_sqrt for gi in g))
+    return KrausChannel(dim, g @ inv_sqrt)
 
 
 def channel_to_json_obj(ch: KrausChannel) -> dict:
@@ -280,8 +275,5 @@ def channel_to_json_obj(ch: KrausChannel) -> dict:
 
 def channel_from_json_obj(obj: dict) -> KrausChannel:
     dim = int(obj["dim"])
-    kraus = tuple(
-        np.array([complex(re, im) for re, im in flat], dtype=complex).reshape(dim, dim)
-        for flat in obj["kraus"]
-    )
-    return KrausChannel(dim, kraus)
+    pairs = np.array(obj["kraus"], dtype=float)  # (n, dim * dim, 2): [re, im] per entry
+    return KrausChannel(dim, pairs.view(complex).reshape(len(pairs), dim, dim))

@@ -64,7 +64,7 @@ def choi_of(ch: KrausChannel, tol: float = DEFAULT_TOL) -> ChoiState:
     is (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag.
     """
     d = ch.dim
-    vecs = ch.stacked().reshape(ch.n_kraus, d * d) / np.sqrt(d)
+    vecs = ch.kraus.reshape(ch.n_kraus, d * d) / np.sqrt(d)
     m = np.einsum("ki,kj->ij", vecs, vecs.conj())
     _validate_choi(m, d, tol)
     return ChoiState(d, m)
@@ -118,7 +118,7 @@ def overlap_kraus(m: KrausChannel, l: KrausChannel) -> float:
     """Tr[C_M C_L] from Kraus operators: (1/d^2) sum_{k,l} |Tr[A_k^dag B_l]|^2."""
     if m.dim != l.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {l.dim}")
-    t = np.einsum("kij,lij->kl", m.stacked().conj(), l.stacked())
+    t = np.einsum("kij,lij->kl", m.kraus.conj(), l.kraus)
     return float(np.sum(t.real**2 + t.imag**2) / m.dim**2)
 
 

@@ -38,10 +38,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr[a^dag b]."""
     a = np.asarray(a)

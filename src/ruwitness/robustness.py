@@ -21,7 +21,8 @@ dephasing commutes with CZ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
+from numbers import Integral, Real
 from typing import Callable, IO, Iterable
 
 from .channels import (
@@ -149,8 +150,8 @@ def _slice_function(gate: str, kind: str, mode: str) -> Callable[[float], float]
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
     flo = f(lo)
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > xtol and lo < mid < hi:  # adjacent floats have no midpoint between them
         fmid = f(mid)
         if fmid == 0.0:
             return mid
@@ -158,7 +159,8 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> f
             lo, flo = mid, fmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def scan_roots(
@@ -167,8 +169,13 @@ def scan_roots(
     """Sign-change points of ``f`` on [0, 1]: dense scan plus bisection.
 
     Returns the ascending roots; an empty list means the sign never
-    changes, which is a valid outcome, not an error.
+    changes, which is a valid outcome, not an error.  ``scan_points`` must be
+    an integer >= 1 and ``xtol`` a finite number > 0.
     """
+    if isinstance(scan_points, bool) or not isinstance(scan_points, Integral) or scan_points < 1:
+        raise ValueError(f"scan_points must be an integer >= 1, got {scan_points!r}")
+    if not (isinstance(xtol, Real) and 0 < xtol < inf):
+        raise ValueError(f"xtol must be a finite number > 0, got {xtol!r}")
     ts = [i / scan_points for i in range(scan_points + 1)]
     values = [f(t) for t in ts]
     roots: list[float] = []

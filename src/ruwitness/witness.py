@@ -298,7 +298,7 @@ def expectation(w: Witness, m: KrausChannel) -> float:
     """
     if m.dim != 4:
         raise ValueError(f"channel must act on dimension 4, got {m.dim}")
-    t = np.einsum("kij,ij->k", m.stacked(), w.unitary.conj())
+    t = np.einsum("kij,ij->k", m.kraus, w.unitary.conj())
     return float(w.beta - np.sum(t.real**2 + t.imag**2) / 16.0)
 
 

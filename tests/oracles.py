@@ -5,6 +5,12 @@ Kraus lists of its parts (256 operators under depolarising noise).  It is
 the first-principles reference for ``ruwitness.robustness.noisy_gate``,
 which composes Pauli transfer matrices.
 
+``loop_tensor`` and ``loop_compose`` are ``tensor`` and ``compose`` as they
+were when a channel held a tuple of Kraus matrices: one ``np.kron`` or one
+matrix product per pair of operators.  They are the reference for the
+broadcast forms in ``ruwitness.channels``, which must give the same
+operators in the same order.
+
 ``reference_estimate`` is the shot estimator as it was before the
 measurement plan: it decomposes the witness, assigns terms and builds each
 setting's rotation with ``kron`` on every call.  It is the reference for
@@ -19,7 +25,7 @@ unitary, so it is a certified lower bound on the exact offset.
 import numpy as np
 from scipy.optimize import minimize
 
-from ruwitness.channels import compose, gate_matrix, tensor, unitary_channel
+from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unitary_channel
 from ruwitness.choi import choi_of
 from ruwitness.linalg import kron
 from ruwitness.protocol import EstimateResult
@@ -32,6 +38,16 @@ def kraus_noisy_gate(gate: str, noise):
     pre = single_qubit_noise(noise.kind, noise.q1)
     post = single_qubit_noise(noise.kind, noise.q2)
     return compose(tensor(post, post), compose(unitary_channel(gate_matrix(gate)), tensor(pre, pre)))
+
+
+def loop_tensor(a, b):
+    """a ⊗ b with one np.kron per pair of Kraus operators, a-outer."""
+    return KrausChannel(a.dim * b.dim, tuple(np.kron(x, y) for x in a.kraus for y in b.kraus))
+
+
+def loop_compose(after, before):
+    """after∘before with one matrix product per pair of Kraus operators, after-outer."""
+    return KrausChannel(after.dim, tuple(b @ a for b in after.kraus for a in before.kraus))
 
 
 # Columns are the +1 and -1 eigenvectors of the measured Pauli axis.

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from ruwitness.channels import (
 )
 from ruwitness.choi import choi_of
 from ruwitness.linalg import PAULI_X, PAULI_Z
+
+from oracles import loop_compose, loop_tensor
 
 
 def choi_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-12) -> bool:
@@ -73,8 +76,57 @@ class TestValidateCpt:
         assert validate_cpt(amplitude_damping(g))
 
     def test_shape_mismatch_rejected(self):
+        for bad in ((np.eye(3, dtype=complex),), np.eye(2), [np.eye(2), np.eye(3)]):
+            with pytest.raises(ValueError):
+                KrausChannel(2, bad)
+
+
+class TestKrausArray:
+    @pytest.mark.parametrize("form", ["tuple", "list", "generator", "ndarray"])
+    def test_one_read_only_array(self, form):
+        ops = [np.eye(2), np.zeros((2, 2)), PAULI_X]
+        given_ops = {
+            "tuple": tuple(ops),
+            "list": ops,
+            "generator": (a for a in ops),
+            "ndarray": np.array(ops),
+        }[form]
+        ch = KrausChannel(2, given_ops)
+        assert type(ch.kraus) is np.ndarray and ch.kraus.dtype == complex
+        assert ch.kraus.shape == (2, 2, 2) and ch.kraus.flags.c_contiguous
+        assert np.array_equal(ch.kraus, [np.eye(2), PAULI_X])  # the zero operator is dropped
+        assert ch.n_kraus == len(ch.kraus) == len(list(ch.kraus)) == 2
+        assert np.array_equal(ch.kraus[1], PAULI_X)
         with pytest.raises(ValueError):
-            KrausChannel(2, (np.eye(3, dtype=complex),))
+            ch.kraus[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            ch.kraus[1][0, 1] = 5.0
+
+    def test_input_is_copied(self):
+        ops = np.array([np.eye(2), PAULI_X])
+        ch = KrausChannel(2, ops)
+        ops[0, 0, 0] = 7.0
+        assert ch.kraus[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "ops", [(), [], np.zeros((0, 2, 2)), (np.zeros((2, 2)),), np.zeros((3, 2, 2))]
+    )
+    def test_empty_or_all_zero_rejected(self, ops):
+        with pytest.raises(ValueError):
+            KrausChannel(2, ops)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_rejected(self, value):
+        a = np.eye(2, dtype=complex)
+        a[0, 1] = value
+        with pytest.raises(ValueError):
+            KrausChannel(2, (a,))
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected_from_json(self, text):
+        obj = json.loads(f'{{"dim": 2, "kraus": [[[1, 0], [{text}, 0], [0, 0], [1, 0]]]}}')
+        with pytest.raises(ValueError):
+            channel_from_json_obj(obj)
 
 
 class TestPauliChannel:
@@ -138,6 +190,16 @@ class TestAlgebra:
     def test_tensor_kraus_counts(self):
         assert tensor(depolarising(0.5), depolarising(0.5)).n_kraus == 16
         assert tensor(amplitude_damping(0.5), amplitude_damping(0.5)).n_kraus == 4
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_array_forms_match_loop_forms(self, dim):
+        """tensor and compose give the loop forms' operators, bit for bit and in order."""
+        for n_a in range(1, 5):
+            for n_b in range(1, 5):
+                a = sample_channel(dim, n_a, seed=10 * n_a + n_b)
+                b = sample_channel(dim, n_b, seed=100 + 10 * n_a + n_b)
+                assert np.array_equal(tensor(a, b).kraus, loop_tensor(a, b).kraus)
+                assert np.array_equal(compose(a, b).kraus, loop_compose(a, b).kraus)
 
     def test_compose_unitaries(self):
         u, v = gate_matrix("CNOT"), gate_matrix("CZ")
@@ -221,10 +283,10 @@ class TestSampling:
 
 class TestJson:
     def test_round_trip(self):
-        ch = tensor(depolarising(0.35), amplitude_damping(0.2))
-        back = channel_from_json_obj(channel_to_json_obj(ch))
-        assert back.dim == ch.dim
-        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, back.kraus))
+        for ch in (tensor(depolarising(0.35), amplitude_damping(0.2)), sample_channel(2, 3, seed=4)):
+            back = channel_from_json_obj(json.loads(json.dumps(channel_to_json_obj(ch))))
+            assert back.dim == ch.dim
+            assert np.array_equal(ch.kraus, back.kraus)
 
     def test_golden_dephasing(self):
         obj = channel_to_json_obj(dephasing(0.25))

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ from ruwitness.witness import expectation, gate_witness
 from oracles import kraus_noisy_gate
 
 ALL_COMBOS = [(g, k) for g in GATE_NAMES for k in NOISE_KINDS]
+
+
+@pytest.fixture
+def one_second():
+    """Fail, rather than hang, when the test body runs for more than a second."""
+
+    def interrupt(signum, frame):
+        raise TimeoutError("call did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(1)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestNoiseSpec:
@@ -194,6 +209,31 @@ class TestThreshold:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             threshold("CNOT", "dephasing", "sideways")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"xtol": 0.0},
+            {"xtol": -1e-9},
+            {"xtol": math.nan},
+            {"xtol": math.inf},
+            {"scan_points": 0},
+            {"scan_points": 2.5},
+            {"scan_points": True},
+        ],
+        ids=["xtol-zero", "xtol-negative", "xtol-nan", "xtol-inf", "points-zero", "points-float", "points-bool"],
+    )
+    def test_bad_scan_options_fail_fast(self, options, one_second):
+        with pytest.raises(ValueError):
+            threshold("CNOT", "depolarising", "before_only", **options)
+        calls = []
+        with pytest.raises(ValueError):
+            scan_roots(lambda t: calls.append(t) or 0.3 - t, **options)
+        assert calls == []  # rejected before anything is evaluated
+
+    def test_tolerance_below_float_spacing_terminates(self, one_second):
+        roots = threshold("CNOT", "depolarising", "before_only", xtol=1e-300)
+        assert roots == [pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-15)]
 
     def test_json_record(self):
         roots = threshold("CNOT", "depolarising", "before_only")
