@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the detection-threshold table for every gate/noise/slice combination.
 
-Each row shows the bisection roots of the closed-form witness expectation
+Each row shows the exact roots of the closed-form witness expectation
 along the pre-only, post-only and equal-strength noise slices.  Below the
 table, the radical forms of the analytically solvable roots are listed for
 comparison.

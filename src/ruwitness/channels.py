@@ -73,7 +73,7 @@ def gate_matrix(name: str) -> np.ndarray:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CPT map as one read-only complex (n_kraus, dim, dim) array of Kraus operators.
 

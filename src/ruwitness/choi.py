@@ -32,7 +32,7 @@ from .channels import KrausChannel, _apply
 from .linalg import DEFAULT_TOL, hs_inner, is_hermitian, partial_trace, real_part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiState:
     """Choi density matrix of a channel with input dimension ``dim_in``."""
 

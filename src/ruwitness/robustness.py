@@ -11,19 +11,21 @@ witness expectation Tr[W_U C_M]; the selftest checks it against both
 :func:`noisy_gate` (Pauli transfer matrices) and the first-principles
 Kraus composition on a dense grid, the master validation of every formula.
 
-Threshold extraction works on one-parameter slices (pre-only, post-only,
-or equal strengths) by a dense sign scan plus bisection, so the same code
-path covers the monotone cases and the two-root window of the CZ gate
-under equal dephasing, where high noise becomes detectable again because
-dephasing commutes with CZ.
+Thresholds are the sign changes of one-parameter slices (pre-only, post-only,
+or equal strengths), each an integer polynomial in q, or s = sqrt(1 - gamma),
+whose roots a Sturm chain isolates exactly.  This covers the monotone cases
+and the two-root window of the CZ gate under equal dephasing, where high
+noise becomes detectable again because dephasing commutes with CZ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
-from numbers import Integral, Real
-from typing import Callable, IO, Iterable
+from fractions import Fraction
+from math import sqrt
+from typing import IO, Iterable
+
+import numpy as np
 
 from .channels import (
     KrausChannel,
@@ -35,7 +37,7 @@ from .channels import (
     depolarising,
 )
 from .serialize import fmt12, round12
-from .witness import Witness, expectation, gate_witness
+from .witness import expectation, gate_witness
 
 NOISE_KINDS = ("depolarising", "dephasing", "bitflip", "amplitude_damping")
 GATE_NAMES = ("CNOT", "CZ")
@@ -138,67 +140,76 @@ def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:
     return 0.5 - (1.0 + sqrt(g1 * g2)) ** 4 / 16.0
 
 
-def _slice_function(gate: str, kind: str, mode: str) -> Callable[[float], float]:
-    if mode == "before_only":
-        return lambda t: closed_form(gate, kind, t, 0.0)
-    if mode == "after_only":
-        return lambda t: closed_form(gate, kind, 0.0, t)
-    if mode == "equal":
-        return lambda t: closed_form(gate, kind, t, t)
-    raise ValueError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
+def _slice_polynomial(gate: str, kind: str, mode: str) -> np.ndarray:
+    """Integer coefficients, lowest first, of 16 times a slice in x = q, or s for damping.
 
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    flo = f(lo)
-    mid = 0.5 * (lo + hi)
-    while hi - lo > xtol and lo < mid < hi:  # adjacent floats have no midpoint between them
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
-
-
-def scan_roots(
-    f: Callable[[float], float], scan_points: int = 1000, xtol: float = 1e-9
-) -> list[float]:
-    """Sign-change points of ``f`` on [0, 1]: dense scan plus bisection.
-
-    Returns the ascending roots; an empty list means the sign never
-    changes, which is a valid outcome, not an error.  ``scan_points`` must be
-    an integer >= 1 and ``xtol`` a finite number > 0.
+    Read off ``closed_form`` at the nodes x = k/8, where every input and square
+    root is exact, and checked at eight more; a miss raises ``ArithmeticError``.
     """
-    if isinstance(scan_points, bool) or not isinstance(scan_points, Integral) or scan_points < 1:
-        raise ValueError(f"scan_points must be an integer >= 1, got {scan_points!r}")
-    if not (isinstance(xtol, Real) and 0 < xtol < inf):
-        raise ValueError(f"xtol must be a finite number > 0, got {xtol!r}")
-    ts = [i / scan_points for i in range(scan_points + 1)]
-    values = [f(t) for t in ts]
-    roots: list[float] = []
-    for (t0, v0), (t1, v1) in zip(zip(ts, values), zip(ts[1:], values[1:])):
-        if v0 == 0.0:
-            roots.append(t0)
-        elif (v0 < 0) != (v1 < 0) and v1 != 0.0:
-            roots.append(_bisect(f, t0, t1, xtol))
-    if values[-1] == 0.0:
-        roots.append(ts[-1])
-    return roots
+    if mode not in THRESHOLD_MODES:
+        raise ValueError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
+    pre, post = {"before_only": (1, 0), "after_only": (0, 1), "equal": (1, 1)}[mode]
+    xs = np.arange(17) / 16  # nodes k/8 at even indices, checks at odd ones
+    qs = 1.0 - xs * xs if kind == "amplitude_damping" else xs
+    ys = np.array([16.0 * closed_form(gate, kind, pre * q, post * q) for q in qs.tolist()])
+    coeffs = np.rint(np.linalg.solve(np.vander(xs[::2], increasing=True), ys[::2]))
+    miss = np.max(np.abs(np.polyval(coeffs[::-1], xs[1::2]) - ys[1::2]))
+    if not miss <= 1e-9:
+        raise ArithmeticError(f"{gate} {kind} {mode} slice is not an integer polynomial (miss {miss:.3g})")
+    return coeffs.astype(int)
 
 
-def threshold(
-    gate: str, kind: str, mode: str, scan_points: int = 1000, xtol: float = 1e-9
-) -> list[float]:
+def _crossings(coeffs: Iterable[int]) -> list[float]:
+    """Ascending points of [0, 1] where a nonzero integer polynomial changes sign.
+
+    Exact in ``Fraction`` arithmetic: roots at 0 and 1 are divided out and kept
+    at odd multiplicity; a Sturm chain (Sturm 1829) counts the distinct roots in
+    a dyadic cell, halved until it holds one, kept if the signs at its ends
+    differ and bisected in floats on the square-free part to adjacent floats.
+    """
+    from numpy.polynomial import polynomial as P  # on first use: it costs import time and memory
+    p = np.trim_zeros(np.array([Fraction(int(c)) for c in coeffs], dtype=object), "b")
+    roots = []
+    for end in (0, 1):
+        odd = False
+        while len(p) > 1 and P.polyval(end, p) == 0:
+            p, odd = P.polydiv(p, [Fraction(-end), Fraction(1)])[0], not odd
+        roots += [float(end)] * odd
+    chain = [p, P.polyder(p)]
+    while any(chain[-1]) and any(rem := -P.polydiv(chain[-2], chain[-1])[1]):
+        chain.append(rem)
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (P.polyval(x, c) for c in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    cells = [(Fraction(0), Fraction(1))]
+    while cells:
+        a, b = cells.pop()
+        count = variations(a) - variations(b)
+        if count > 1:
+            m = (a + b) / 2
+            while P.polyval(m, p) == 0:
+                m = (a + m) / 2
+            cells += [(a, m), (m, b)]
+        elif count == 1 and (P.polyval(a, p) < 0) != (P.polyval(b, p) < 0):
+            simple = P.polydiv(p, chain[-1])[0]  # p / gcd(p, p'): the same roots, all simple
+            lo, hi, negative, pf = float(a), float(b), P.polyval(a, simple) < 0, simple.astype(float)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if (P.polyval(mid, pf) < 0) == negative else (lo, mid)
+            roots.append(mid)
+    return sorted(roots)
+
+
+def threshold(gate: str, kind: str, mode: str) -> list[float]:
     """All sign-change points of the closed form along a one-parameter slice.
 
-    ``mode`` selects the slice: pre-gate noise only, post-gate noise only,
-    or equal strengths on both sides.
+    ``mode`` selects the slice: pre-gate noise only, post-gate noise only, or
+    equal strengths on both sides.  Roots are exact to the last float; a root
+    where the expectation touches zero without crossing it is not reported.
     """
-    f = _slice_function(_check_gate(gate), _check_kind(kind), mode)
-    return scan_roots(f, scan_points=scan_points, xtol=xtol)
+    roots = _crossings(_slice_polynomial(_check_gate(gate), _check_kind(kind), mode))
+    return sorted(1.0 - s * s for s in roots) if kind == "amplitude_damping" else roots
 
 
 def threshold_json_obj(gate: str, kind: str, mode: str, roots: Iterable[float]) -> dict:
@@ -254,8 +265,6 @@ def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
     }
 
 
-def numeric_expectation(gate: str, noise: NoiseSpec, w: Witness | None = None) -> float:
+def numeric_expectation(gate: str, noise: NoiseSpec) -> float:
     """Numeric route: build the noisy gate as a channel, then Tr[W C_M]."""
-    if w is None:
-        w = gate_witness(gate)
-    return expectation(w, noisy_gate(gate, noise))
+    return expectation(gate_witness(gate), noisy_gate(gate, noise))

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import channels, choi, linalg, protocol, robustness, witness
+from .serialize import fmt12
 
 
 def _require(condition: bool, detail: object = "") -> None:
@@ -161,7 +162,7 @@ def _unit_root(coeffs) -> float:
 
 
 def check_thresholds() -> None:
-    # Exact roots, independent of the bisection: radical forms, or the root
+    # Exact roots, independent of the Sturm chain: radical forms, or the root
     # of the polynomial an equal-strength slice reduces to: depolarising
     # (q-2)^2 (5q^2 - 8q + 4) = 8, CNOT dephasing 8q^3 - 14q^2 + 8q = 1, and
     # CNOT damping s^8 + 2s^6 + 4s^5 + 2s^4 + 4s^3 + 2s^2 = 7, s = sqrt(1 - gamma).
@@ -189,7 +190,8 @@ def check_thresholds() -> None:
             roots = robustness.threshold(gate, kind, mode)
             _require(len(roots) == len(exact), (gate, kind, mode, roots))
             for root, target, value in zip(roots, exact, reference):
-                _require(abs(root - target) < 5e-9, (gate, kind, mode, root, target))
+                _require(abs(root - target) < 1e-13, (gate, kind, mode, root, target))
+                _require(fmt12(root) == fmt12(target), (gate, kind, mode, root, target))
                 # the reference values are quoted to two decimals, some
                 # rounded and some truncated, so accept either reading
                 _require(value - 0.005 <= root < value + 0.01, (gate, kind, mode, root))

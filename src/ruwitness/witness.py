@@ -50,7 +50,7 @@ _MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]
 _EVEN_SIGNS = np.array([s for s in product((1, -1), repeat=4) if s.count(-1) % 2 == 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Detection operator beta*1 - C_U for a two-qubit unitary U."""
 
@@ -67,7 +67,7 @@ class Witness:
 
     @cached_property
     def _decomposition(self) -> PauliDecomposition:
-        return _decompose(self.matrix, _DEFAULT_CUTOFF)
+        return _decompose(self.matrix)
 
 
 def build_witness(
@@ -167,23 +167,16 @@ def _coeff_str(coeff: Fraction | float) -> str:
 
 
 # A coefficient snaps to k/64 only at round-off level; dressed Clifford
-# witnesses sit within 1.1e-16 of their 64ths.
+# witnesses sit within 1.1e-16 of their 64ths.  One that snaps to 0 is dropped.
 _SNAP_TOL = 1e-12
-_DEFAULT_CUTOFF = 1e-12
 
 
-def pauli_decompose(w: Witness, cutoff: float = _DEFAULT_CUTOFF) -> PauliDecomposition:
-    """Expand the witness over Pauli strings: coeff(P) = Tr[P W]/16.
-
-    At the default cutoff the decomposition is computed once per witness
-    and cached on it.
-    """
-    if cutoff == _DEFAULT_CUTOFF:
-        return w._decomposition
-    return _decompose(w.matrix, cutoff)
+def pauli_decompose(w: Witness) -> PauliDecomposition:
+    """Expand the witness over Pauli strings, coeff(P) = Tr[P W]/16, once per witness."""
+    return w._decomposition
 
 
-def _decompose(matrix: np.ndarray, cutoff: float) -> PauliDecomposition:
+def _decompose(matrix: np.ndarray) -> PauliDecomposition:
     strings, stack = pauli_basis(4)
     coeffs = np.einsum("pij,ji->p", stack, matrix) / 16.0
     if np.max(np.abs(coeffs.imag)) > 1e-12:
@@ -191,12 +184,10 @@ def _decompose(matrix: np.ndarray, cutoff: float) -> PauliDecomposition:
     terms: list[tuple[Fraction | float, str]] = []
     for s, c in zip(strings, coeffs.real):
         snapped = round(c * 64)
-        if abs(c - snapped / 64) <= _SNAP_TOL:
-            if snapped == 0:
-                continue
-            terms.append((Fraction(snapped, 64), s))
-        elif abs(c) > cutoff:
+        if abs(c - snapped / 64) > _SNAP_TOL:
             terms.append((float(c), s))
+        elif snapped:
+            terms.append((Fraction(snapped, 64), s))
     return PauliDecomposition(tuple(terms))
 
 

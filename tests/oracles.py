@@ -16,6 +16,11 @@ measurement plan: it decomposes the witness, assigns terms and builds each
 setting's rotation with ``kron`` on every call.  It is the reference for
 ``ruwitness.protocol``, which compiles all of that once per witness.
 
+``ptm_slice_polynomial`` is the integer polynomial of a threshold slice
+from the Pauli-transfer-matrix composition in exact integer arithmetic.  It
+certifies ``ruwitness.robustness._slice_polynomial``, which reads the same
+polynomial off the float closed form.
+
 ``beta_search`` is the multi-start Nelder-Mead search that computed the
 witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
@@ -27,7 +32,7 @@ from scipy.optimize import minimize
 
 from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unitary_channel
 from ruwitness.choi import choi_of
-from ruwitness.linalg import kron
+from ruwitness.linalg import kron, pauli_basis
 from ruwitness.protocol import EstimateResult
 from ruwitness.robustness import single_qubit_noise
 from ruwitness.witness import minimal_settings, pauli_decompose, setting_covers
@@ -48,6 +53,59 @@ def loop_tensor(a, b):
 def loop_compose(after, before):
     """after∘before with one matrix product per pair of Kraus operators, after-outer."""
     return KrausChannel(after.dim, tuple(b @ a for b in after.kraus for a in before.kraus))
+
+
+# Single-qubit noise PTMs in the Pauli order I, X, Y, Z as integer matrix
+# coefficients, D(x) = sum_k x^k D[k], with x = q, or x = s = sqrt(1 - gamma)
+# for amplitude damping: diag(1, 1-x, 1-x, 1-x), diag(1, 1-2x, 1-2x, 1),
+# diag(1, 1, 1-2x, 1-2x) and [[1,0,0,0],[0,x,0,0],[0,0,x,0],[1-x^2,0,0,x^2]].
+_E = np.eye(4, dtype=np.int64)
+_NOISE_PTM = {
+    "depolarising": [_E, -np.diag([0, 1, 1, 1])],
+    "dephasing": [_E, -2 * np.diag([0, 1, 1, 0])],
+    "bitflip": [_E, -2 * np.diag([0, 0, 1, 1])],
+    "amplitude_damping": [
+        np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]),
+        np.diag([0, 1, 1, 0]),
+        np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]]),
+    ],
+}
+
+
+def _poly_product(a, b, mul):
+    """Coefficients of a(x) * b(x) for polynomials with matrix coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + mul(x, y)
+    return out
+
+
+def gate_ptm_int(gate: str) -> np.ndarray:
+    """R_ij = Tr[P_i U P_j U^dag] / 4, rounded to the signed permutation it is."""
+    u = gate_matrix(gate)
+    _, p = pauli_basis(2)
+    r = np.einsum("iab,bc,jcd,ad->ij", p, u, p, u.conj()).real / 4
+    r_int = np.rint(r).astype(np.int64)
+    assert np.abs(r - r_int).max() < 1e-12
+    assert (np.abs(r_int).sum(axis=0) == 1).all() and (np.abs(r_int).sum(axis=1) == 1).all()
+    return r_int
+
+
+def ptm_slice_polynomial(gate: str, kind: str, mode: str) -> list[int]:
+    """Coefficients, lowest first, of 8 - <R_U, (D2⊗D2) R_U (D1⊗D1)> along a slice.
+
+    This is 16 times the witness expectation.  The noiseless side of a
+    one-sided slice is the identity (x = 0, or s = 1 for damping).
+    """
+    r_u = gate_ptm_int(gate)
+    d = [np.asarray(m, dtype=np.int64) for m in _NOISE_PTM[kind]]
+    dd, ident = _poly_product(d, d, np.kron), [np.eye(16, dtype=np.int64)]
+    pre, post = {"before_only": (dd, ident), "after_only": (ident, dd), "equal": (dd, dd)}[mode]
+    r_m = _poly_product(_poly_product(post, [r_u], np.matmul), pre, np.matmul)
+    coeffs = [-int(np.sum(r_u * m)) for m in r_m]
+    coeffs[0] += 8
+    return coeffs
 
 
 # Columns are the +1 and -1 eigenvectors of the measured Pauli axis.

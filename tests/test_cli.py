@@ -114,7 +114,7 @@ class TestThresholdCommand:
             "--mode", "before",
         )
         assert code == 0
-        assert out == "0.390524291515\n"
+        assert out == "0.390524291751\n"
 
     def test_two_roots_with_json(self, capsys, tmp_path):
         path = tmp_path / "roots.json"

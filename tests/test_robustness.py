@@ -1,7 +1,6 @@
 import io
 import itertools
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -9,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruwitness.channels import gate_matrix, unitary_channel, validate_cpt
+from ruwitness import robustness
 from ruwitness.choi import choi_of
 from ruwitness.robustness import (
     GATE_NAMES,
     NOISE_KINDS,
+    THRESHOLD_MODES,
     NoiseSpec,
     closed_form,
     noisy_gate,
+    _crossings,
+    _slice_polynomial,
     numeric_expectation,
-    scan_roots,
     sweep,
     sweep_json_obj,
     threshold,
@@ -26,23 +28,10 @@ from ruwitness.robustness import (
 )
 from ruwitness.witness import expectation, gate_witness
 
-from oracles import kraus_noisy_gate
+from oracles import kraus_noisy_gate, ptm_slice_polynomial
 
 ALL_COMBOS = [(g, k) for g in GATE_NAMES for k in NOISE_KINDS]
-
-
-@pytest.fixture
-def one_second():
-    """Fail, rather than hang, when the test body runs for more than a second."""
-
-    def interrupt(signum, frame):
-        raise TimeoutError("call did not return within a second")
-
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    signal.alarm(1)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+ALL_SLICES = [(g, k, m) for g, k in ALL_COMBOS for m in THRESHOLD_MODES]
 
 
 class TestNoiseSpec:
@@ -164,47 +153,78 @@ class TestThreshold:
     def test_depolarising_pre_only_exact_root(self):
         roots = threshold("CNOT", "depolarising", "before_only")
         assert len(roots) == 1
-        assert roots[0] == pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-9)
+        assert roots[0] == pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-13)
 
     def test_dephasing_pre_only_exact_root(self):
         for gate in GATE_NAMES:
             roots = threshold(gate, "dephasing", "before_only")
             assert len(roots) == 1
-            assert roots[0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-9)
+            assert roots[0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-13)
 
     def test_cz_dephasing_equal_two_roots(self):
         roots = threshold("CZ", "dephasing", "equal")
         assert len(roots) == 2
         lo = (1 - math.sqrt(math.sqrt(2) - 1)) / 2
         hi = (1 + math.sqrt(math.sqrt(2) - 1)) / 2
-        assert roots[0] == pytest.approx(lo, abs=1e-9)
-        assert roots[1] == pytest.approx(hi, abs=1e-9)
+        assert roots[0] == pytest.approx(lo, abs=1e-13)
+        assert roots[1] == pytest.approx(hi, abs=1e-13)
 
     def test_cz_bitflip_equal_exact_root(self):
         roots = threshold("CZ", "bitflip", "equal")
-        assert roots == [pytest.approx(1 - 2 ** (-0.25), abs=1e-9)]
+        assert roots == [pytest.approx(1 - 2 ** (-0.25), abs=1e-13)]
 
     def test_amplitude_damping_pre_only_exact_root(self):
         expected = 1 - (8**0.25 - 1) ** 2
         for gate in GATE_NAMES:
             roots = threshold(gate, "amplitude_damping", "before_only")
-            assert roots == [pytest.approx(expected, abs=1e-9)]
+            assert roots == [pytest.approx(expected, abs=1e-13)]
+
+    def test_root_is_exact_to_the_last_float(self):
+        roots = threshold("CNOT", "depolarising", "before_only")
+        assert roots == [pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-15)]
 
     def test_before_equals_after(self):
         for gate, kind in ALL_COMBOS:
-            before = threshold(gate, kind, "before_only")
-            after = threshold(gate, kind, "after_only")
-            assert before == pytest.approx(after, abs=1e-9)
+            assert threshold(gate, kind, "before_only") == threshold(gate, kind, "after_only")
 
     def test_no_sign_change_gives_empty(self):
-        assert scan_roots(lambda t: 1.0 + t) == []
-        assert scan_roots(lambda t: -1.0) == []
+        assert _crossings([5]) == []
+        assert _crossings([1, 0, 2]) == []  # 2x^2 + 1
 
     def test_scan_finds_multiple_crossings(self):
-        roots = scan_roots(lambda t: (t - 0.2) * (t - 0.6))
-        assert roots == pytest.approx([0.2, 0.6], abs=1e-9)
-        roots = scan_roots(lambda t: 0.3 - t)
-        assert roots == pytest.approx([0.3], abs=1e-9)
+        # (1000x - 499)(1000x - 501): two roots 0.002 apart
+        roots = _crossings([499 * 501, -1000 * 1000, 1000 * 1000])
+        assert roots == pytest.approx([0.499, 0.501], abs=1e-12)
+        assert _crossings([3, -10]) == [pytest.approx(0.3, abs=1e-15)]
+
+    def test_touching_root_is_not_a_crossing(self):
+        assert _crossings([1, -4, 4]) == []  # (2x - 1)^2
+
+    def test_odd_multiplicity_root_is_a_crossing(self):
+        assert _crossings([-1, 6, -12, 8]) == [0.5]  # (2x - 1)^3
+
+    def test_roots_at_the_endpoints(self):
+        assert _crossings([0, 1]) == [0.0]
+        assert _crossings([-1, 1]) == [1.0]
+        assert _crossings([0, 0, 1]) == []  # x^2 touches zero at 0
+        assert _crossings([0, 0, 0, 1, -1]) == [0.0, 1.0]  # x^3 (1 - x)
+
+    def test_roots_outside_the_unit_interval_are_not_reported(self):
+        assert _crossings([1, 1]) == []  # x + 1
+        assert _crossings([-2, -1, 1]) == []  # (x - 2)(x + 1)
+        assert _crossings([2, -5, 2]) == [0.5]  # (x - 2)(2x - 1)
+
+    @pytest.mark.parametrize("gate,kind,mode", ALL_SLICES)
+    def test_slice_polynomial_matches_ptm_certificate(self, gate, kind, mode):
+        exact = ptm_slice_polynomial(gate, kind, mode)
+        recovered = _slice_polynomial(gate, kind, mode).tolist()
+        assert len(recovered) >= len(exact)
+        assert recovered == exact + [0] * (len(recovered) - len(exact))
+
+    def test_non_polynomial_closed_form_raises(self, monkeypatch):
+        monkeypatch.setattr(robustness, "closed_form", lambda gate, kind, q1, q2: math.sqrt(q1 + q2))
+        with pytest.raises(ArithmeticError):
+            threshold("CNOT", "dephasing", "before_only")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -223,17 +243,10 @@ class TestThreshold:
         ],
         ids=["xtol-zero", "xtol-negative", "xtol-nan", "xtol-inf", "points-zero", "points-float", "points-bool"],
     )
-    def test_bad_scan_options_fail_fast(self, options, one_second):
-        with pytest.raises(ValueError):
+    def test_bad_scan_options_fail_fast(self, options):
+        # threshold has no scan or tolerance option: its roots are exact
+        with pytest.raises(TypeError):
             threshold("CNOT", "depolarising", "before_only", **options)
-        calls = []
-        with pytest.raises(ValueError):
-            scan_roots(lambda t: calls.append(t) or 0.3 - t, **options)
-        assert calls == []  # rejected before anything is evaluated
-
-    def test_tolerance_below_float_spacing_terminates(self, one_second):
-        roots = threshold("CNOT", "depolarising", "before_only", xtol=1e-300)
-        assert roots == [pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-15)]
 
     def test_json_record(self):
         roots = threshold("CNOT", "depolarising", "before_only")
@@ -241,7 +254,7 @@ class TestThreshold:
         assert obj["gate"] == "cnot"
         assert obj["noise"] == "depolarising"
         assert obj["mode"] == "before_only"
-        assert obj["roots"] == [pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-9)]
+        assert obj["roots"] == [pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-12)]
 
 
 class TestSweep:
