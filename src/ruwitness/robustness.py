@@ -21,6 +21,7 @@ noise becomes detectable again because dephasing commutes with CZ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import sqrt
 from typing import IO, Iterable
@@ -109,7 +110,11 @@ def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:
     _check_kind(kind)
     _check_unit_interval("q1", q1)
     _check_unit_interval("q2", q2)
+    return _closed_form(name, kind, q1, q2, sqrt)
 
+
+def _closed_form(name: str, kind: str, q1, q2, sqrt):
+    """``closed_form`` unvalidated, on floats (``sqrt=math.sqrt``) or arrays (``np.sqrt``)."""
     if kind == "depolarising":
         b1 = 1.0 - 0.75 * q1
         b2 = 1.0 - 0.75 * q2
@@ -143,7 +148,7 @@ def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:
 def _slice_polynomial(gate: str, kind: str, mode: str) -> np.ndarray:
     """Integer coefficients, lowest first, of 16 times a slice in x = q, or s for damping.
 
-    Read off ``closed_form`` at the nodes x = k/8, where every input and square
+    Read off the closed form at the nodes x = k/8, where every input and square
     root is exact, and checked at eight more; a miss raises ``ArithmeticError``.
     """
     if mode not in THRESHOLD_MODES:
@@ -151,7 +156,7 @@ def _slice_polynomial(gate: str, kind: str, mode: str) -> np.ndarray:
     pre, post = {"before_only": (1, 0), "after_only": (0, 1), "equal": (1, 1)}[mode]
     xs = np.arange(17) / 16  # nodes k/8 at even indices, checks at odd ones
     qs = 1.0 - xs * xs if kind == "amplitude_damping" else xs
-    ys = np.array([16.0 * closed_form(gate, kind, pre * q, post * q) for q in qs.tolist()])
+    ys = 16.0 * _closed_form(gate, kind, pre * qs, post * qs, np.sqrt)
     coeffs = np.rint(np.linalg.solve(np.vander(xs[::2], increasing=True), ys[::2]))
     miss = np.max(np.abs(np.polyval(coeffs[::-1], xs[1::2]) - ys[1::2]))
     if not miss <= 1e-9:
@@ -169,6 +174,8 @@ def _crossings(coeffs: Iterable[int]) -> list[float]:
     """
     from numpy.polynomial import polynomial as P  # on first use: it costs import time and memory
     p = np.trim_zeros(np.array([Fraction(int(c)) for c in coeffs], dtype=object), "b")
+    if not len(p):
+        raise ValueError("the zero polynomial has no isolated roots")
     roots = []
     for end in (0, 1):
         odd = False
@@ -231,32 +238,29 @@ def sweep(gate: str, kind: str, grid_points: int) -> list[SweepRow]:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     name = _check_gate(gate)
     _check_kind(kind)
-    rows = []
-    for i in range(grid_points):
-        q1 = i / (grid_points - 1)
-        for j in range(grid_points):
-            q2 = j / (grid_points - 1)
-            value = closed_form(name, kind, q1, q2)
-            rows.append(SweepRow(q1=q1, q2=q2, value=value, detected=value < 0))
-    return rows
+    q1, q2 = np.indices((grid_points, grid_points)).reshape(2, -1) / (grid_points - 1)
+    values = _closed_form(name, kind, q1, q2, np.sqrt)
+    return [SweepRow(a, b, v, v < 0) for a, b, v in zip(q1.tolist(), q2.tolist(), values.tolist())]
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
     """CSV with header q1,q2,value,detected and 12-significant-digit numbers."""
+    coord = cache(fmt12)  # q1 and q2 repeat: format each distinct one once
     fh.write("q1,q2,value,detected\n")
     for row in rows:
         flag = "true" if row.detected else "false"
-        fh.write(f"{fmt12(row.q1)},{fmt12(row.q2)},{fmt12(row.value)},{flag}\n")
+        fh.write(f"{coord(row.q1)},{coord(row.q2)},{fmt12(row.value)},{flag}\n")
 
 
 def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
+    coord = cache(round12)
     return {
         "gate": gate.lower(),
         "noise": kind,
         "rows": [
             {
-                "q1": round12(r.q1),
-                "q2": round12(r.q2),
+                "q1": coord(r.q1),
+                "q2": coord(r.q2),
                 "value": round12(r.value),
                 "detected": r.detected,
             }

@@ -8,16 +8,12 @@ from decimal import Decimal
 
 def fmt12(x: float) -> str:
     """Positional decimal with exactly 12 significant digits (no exponent)."""
-    x = float(x)
-    if x == 0.0:  # normalise -0.0
-        x = 0.0
-    d = Decimal(f"{x:.11e}")
-    return format(d, "f")
+    return format(Decimal(f"{float(x) + 0.0:.11e}"), "f")  # + 0.0 folds -0.0 to 0.0
 
 
 def round12(x: float) -> float:
-    """Round to 12 significant digits; keeps JSON float output byte-stable."""
-    return float(fmt12(x))
+    """Round to 12 significant digits, equal to ``float(fmt12(x))`` with no Decimal."""
+    return float(f"{float(x):.11e}") + 0.0
 
 
 def dumps(obj) -> str:

@@ -21,6 +21,12 @@ from the Pauli-transfer-matrix composition in exact integer arithmetic.  It
 certifies ``ruwitness.robustness._slice_polynomial``, which reads the same
 polynomial off the float closed form.
 
+``reference_sweep_rows`` is the detection-map sweep as it was before the
+grid became one array evaluation: one validated ``closed_form`` call per
+point.  ``reference_sweep_texts`` writes those rows as CSV and JSON text
+with one Decimal ``fmt12`` per number.  Together they are the byte-for-byte
+reference for ``ruwitness.robustness.sweep`` and its two writers.
+
 ``beta_search`` is the multi-start Nelder-Mead search that computed the
 witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
@@ -34,7 +40,8 @@ from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unita
 from ruwitness.choi import choi_of
 from ruwitness.linalg import kron, pauli_basis
 from ruwitness.protocol import EstimateResult
-from ruwitness.robustness import single_qubit_noise
+from ruwitness.robustness import SweepRow, closed_form, single_qubit_noise
+from ruwitness.serialize import dumps, fmt12
 from ruwitness.witness import minimal_settings, pauli_decompose, setting_covers
 
 
@@ -160,6 +167,32 @@ def reference_estimate(w, ch, plan=None, settings=None):
             variance += sample_var / shots
         per_setting.append((setting, tuple(term_estimates)))
     return EstimateResult(estimate, float(np.sqrt(variance)), tuple(per_setting))
+
+
+def reference_sweep_rows(gate: str, kind: str, grid_points: int) -> list:
+    """Row-major (q1 outer) sweep rows, one ``closed_form`` call per grid point."""
+    rows = []
+    for i in range(grid_points):
+        q1 = i / (grid_points - 1)
+        for j in range(grid_points):
+            q2 = j / (grid_points - 1)
+            value = closed_form(gate, kind, q1, q2)
+            rows.append(SweepRow(q1=q1, q2=q2, value=value, detected=value < 0))
+    return rows
+
+
+def reference_sweep_texts(gate: str, kind: str, rows) -> tuple[str, str]:
+    """CSV and JSON text of sweep rows, with one Decimal ``fmt12`` per number."""
+    text = [(fmt12(r.q1), fmt12(r.q2), fmt12(r.value), r.detected) for r in rows]
+    csv = "q1,q2,value,detected\n" + "".join(
+        f"{a},{b},{v},{'true' if d else 'false'}\n" for a, b, v, d in text
+    )
+    obj = {
+        "gate": gate.lower(),
+        "noise": kind,
+        "rows": [{"q1": float(a), "q2": float(b), "value": float(v), "detected": d} for a, b, v, d in text],
+    }
+    return csv, dumps(obj)
 
 
 # Start simplexes for the beta search live on [0, 2*pi)^6; the Euler-angle

@@ -26,9 +26,10 @@ from ruwitness.robustness import (
     threshold_json_obj,
     write_sweep_csv,
 )
+from ruwitness.serialize import dumps
 from ruwitness.witness import expectation, gate_witness
 
-from oracles import kraus_noisy_gate, ptm_slice_polynomial
+from oracles import kraus_noisy_gate, ptm_slice_polynomial, reference_sweep_rows, reference_sweep_texts
 
 ALL_COMBOS = [(g, k) for g in GATE_NAMES for k in NOISE_KINDS]
 ALL_SLICES = [(g, k, m) for g, k in ALL_COMBOS for m in THRESHOLD_MODES]
@@ -197,6 +198,11 @@ class TestThreshold:
         assert roots == pytest.approx([0.499, 0.501], abs=1e-12)
         assert _crossings([3, -10]) == [pytest.approx(0.3, abs=1e-15)]
 
+    @pytest.mark.parametrize("coeffs", [[0], [], [0, 0]])
+    def test_zero_polynomial_raises(self, coeffs):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            _crossings(coeffs)
+
     def test_touching_root_is_not_a_crossing(self):
         assert _crossings([1, -4, 4]) == []  # (2x - 1)^2
 
@@ -222,7 +228,7 @@ class TestThreshold:
         assert recovered == exact + [0] * (len(recovered) - len(exact))
 
     def test_non_polynomial_closed_form_raises(self, monkeypatch):
-        monkeypatch.setattr(robustness, "closed_form", lambda gate, kind, q1, q2: math.sqrt(q1 + q2))
+        monkeypatch.setattr(robustness, "_closed_form", lambda gate, kind, q1, q2, sqrt: sqrt(q1 + q2))
         with pytest.raises(ArithmeticError):
             threshold("CNOT", "dephasing", "before_only")
 
@@ -301,3 +307,17 @@ class TestSweep:
         assert obj["gate"] == "cz" and obj["noise"] == "bitflip"
         assert len(obj["rows"]) == 4
         assert obj["rows"][0] == {"q1": 0.0, "q2": 0.0, "value": -0.5, "detected": True}
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_matches_per_point_reference(self, gate, kind):
+        for grid in (2, 3, 11, 21, 31, 41, 51, 61, 81, 101, 201):
+            rows = sweep(gate, kind, grid)
+            reference = reference_sweep_rows(gate, kind, grid)
+            assert [(r.q1, r.q2) for r in rows] == [(r.q1, r.q2) for r in reference]
+            for r, exact in zip(rows, reference):  # reference values are closed_form's
+                assert abs(r.value - exact.value) <= 1e-15 and r.detected == exact.detected, (grid, r)
+            buf = io.StringIO()
+            write_sweep_csv(rows, buf)
+            csv, json_text = reference_sweep_texts(gate, kind, reference)
+            assert buf.getvalue() == csv, grid
+            assert dumps(sweep_json_obj(gate, kind, rows)) == json_text, grid
