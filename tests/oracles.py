@@ -23,15 +23,19 @@ polynomial off the float closed form.
 
 ``reference_sweep_rows`` is the detection-map sweep as it was before the
 grid became one array evaluation: one validated ``closed_form`` call per
-point.  ``reference_sweep_texts`` writes those rows as CSV and JSON text
-with one Decimal ``fmt12`` per number.  Together they are the byte-for-byte
-reference for ``ruwitness.robustness.sweep`` and its two writers.
+point.  ``reference_sweep_texts`` writes those rows as CSV text with one
+Decimal ``fmt12`` per number, and as JSON text with the stdlib's
+``json.dumps(indent=2, sort_keys=True)``.  Together they are the
+byte-for-byte reference for ``ruwitness.robustness.sweep``, its two writers
+and ``ruwitness.serialize.dumps``.
 
 ``beta_search`` is the multi-start Nelder-Mead search that computed the
 witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
 unitary, so it is a certified lower bound on the exact offset.
 """
+
+import json
 
 import numpy as np
 from scipy.optimize import minimize
@@ -41,7 +45,7 @@ from ruwitness.choi import choi_of
 from ruwitness.linalg import kron, pauli_basis
 from ruwitness.protocol import EstimateResult
 from ruwitness.robustness import SweepRow, closed_form, single_qubit_noise
-from ruwitness.serialize import dumps, fmt12
+from ruwitness.serialize import fmt12
 from ruwitness.witness import minimal_settings, pauli_decompose, setting_covers
 
 
@@ -182,7 +186,7 @@ def reference_sweep_rows(gate: str, kind: str, grid_points: int) -> list:
 
 
 def reference_sweep_texts(gate: str, kind: str, rows) -> tuple[str, str]:
-    """CSV and JSON text of sweep rows, with one Decimal ``fmt12`` per number."""
+    """CSV and JSON text of sweep rows, with one Decimal ``fmt12`` per number and stdlib JSON."""
     text = [(fmt12(r.q1), fmt12(r.q2), fmt12(r.value), r.detected) for r in rows]
     csv = "q1,q2,value,detected\n" + "".join(
         f"{a},{b},{v},{'true' if d else 'false'}\n" for a, b, v, d in text
@@ -192,7 +196,7 @@ def reference_sweep_texts(gate: str, kind: str, rows) -> tuple[str, str]:
         "noise": kind,
         "rows": [{"q1": float(a), "q2": float(b), "value": float(v), "detected": d} for a, b, v, d in text],
     }
-    return csv, dumps(obj)
+    return csv, json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # Start simplexes for the beta search live on [0, 2*pi)^6; the Euler-angle

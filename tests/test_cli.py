@@ -281,3 +281,25 @@ def test_output_files_are_byte_identical_across_runs(capsys, tmp_path, argv):
         assert code == 0
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (("witness", "--gate", "cnot"), ("--decomposition-out", "--settings-out")),
+        (("threshold", "--gate", "cz", "--noise", "dephasing", "--mode", "equal"), ("--out",)),
+        (("sweep", "--gate", "cz", "--noise", "amplitude_damping", "--grid", "5",
+          "--format", "json"), ("--out",)),
+        (("simulate", "--gate", "cnot", "--noise", "depolarising", "--q1", "0.1",
+          "--q2", "0.05", "--shots", "2000", "--seed", "3"), ("--out",)),
+    ],
+)
+def test_json_files_have_the_stdlib_layout(capsys, tmp_path, argv, flags):
+    """Sorted keys, two-space indent, trailing newline: stdlib json.dumps exactly."""
+    paths = [tmp_path / f"out{i}.json" for i in range(len(flags))]
+    outs = [arg for flag, path in zip(flags, paths) for arg in (flag, str(path))]
+    code, _, _ = run(capsys, *argv, *outs)
+    assert code == 0
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
