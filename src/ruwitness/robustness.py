@@ -5,17 +5,16 @@ on both lines before and after the gate,
 
     M = (N_2 ⊗ N_2) ∘ U ∘ (N_1 ⊗ N_1),
 
-with independent strengths q1 (pre) and q2 (post).  For each of the four
-noise kinds and both gates, :func:`closed_form` evaluates the analytic
-witness expectation Tr[W_U C_M]; the selftest checks it against both
-:func:`noisy_gate` (Pauli transfer matrices) and the first-principles
-Kraus composition on a dense grid, the master validation of every formula.
+with independent strengths q1 (pre) and q2 (post).  In Pauli transfer
+matrices (PTMs), 16 Tr[W_U C_M] = 8 - <R_U, (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1)>, and
+each noise PTM D is an integer polynomial in x = q, or s = sqrt(1 - gamma) for
+damping, so :func:`closed_form` is 1/2 - T(x1, x2)/16 for an integer table T
+per gate and noise; the selftest checks it against the Kraus composition.
 
-Thresholds are the sign changes of one-parameter slices (pre-only, post-only,
-or equal strengths), each an integer polynomial in q, or s = sqrt(1 - gamma),
-whose roots a Sturm chain isolates exactly.  This covers the monotone cases
-and the two-root window of the CZ gate under equal dephasing, where high
-noise becomes detectable again because dephasing commutes with CZ.
+Thresholds are the sign changes of slices of T (pre-only, post-only or equal
+strengths), integer polynomials whose roots a Sturm chain isolates exactly,
+including the two-root window of CZ under equal dephasing, where high noise
+becomes detectable again because dephasing commutes with CZ.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     _check_unit_interval,
+    _gate_ptm,
     _noisy_gate_channel,
     amplitude_damping,
     bit_flip,
@@ -38,18 +38,18 @@ from .channels import (
     depolarising,
 )
 from .serialize import fmt12, round12
-from .witness import expectation, gate_witness
+from .witness import GATE_NAMES, expectation, gate_witness
 
-NOISE_KINDS = ("depolarising", "dephasing", "bitflip", "amplitude_damping")
-GATE_NAMES = ("CNOT", "CZ")
-THRESHOLD_MODES = ("before_only", "after_only", "equal")
-
-_NOISE_CONSTRUCTORS = {
-    "depolarising": depolarising,
-    "dephasing": dephasing,
-    "bitflip": bit_flip,
-    "amplitude_damping": amplitude_damping,
+# kind -> (single-qubit constructor, PTM coefficients D[k] in the Pauli order I, X, Y, Z)
+_NOISES = {
+    "depolarising": (depolarising, (np.eye(4, dtype=int), -np.diag([0, 1, 1, 1]))),
+    "dephasing": (dephasing, (np.eye(4, dtype=int), -2 * np.diag([0, 1, 1, 0]))),
+    "bitflip": (bit_flip, (np.eye(4, dtype=int), -2 * np.diag([0, 0, 1, 1]))),
+    "amplitude_damping": (amplitude_damping, (np.outer([1, 0, 0, 1], [1, 0, 0, 0]),
+                                              np.diag([0, 1, 1, 0]), np.outer([0, 0, 0, 1], [-1, 0, 0, 1]))),
 }
+NOISE_KINDS = tuple(_NOISES)
+THRESHOLD_MODES = ("before_only", "after_only", "equal")
 
 
 def _check_gate(gate: str) -> str:
@@ -88,7 +88,7 @@ class SweepRow:
 
 
 def single_qubit_noise(kind: str, q: float) -> KrausChannel:
-    return _NOISE_CONSTRUCTORS[_check_kind(kind)](q)
+    return _NOISES[_check_kind(kind)][0](q)
 
 
 def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
@@ -100,14 +100,8 @@ def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
 
 
 def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:
-    """Analytic Tr[W_gate C_M] for the noisy gate with strengths (q1, q2).
-
-    Depolarising noise gives the same expression for both gates, and bit
-    flip on CNOT coincides with dephasing on CNOT; the remaining cases are
-    gate-specific.
-    """
-    name = _check_gate(gate)
-    _check_kind(kind)
+    """Analytic Tr[W_gate C_M] for the noisy gate with strengths (q1, q2)."""
+    name, kind = _check_gate(gate), _check_kind(kind)
     _check_unit_interval("q1", q1)
     _check_unit_interval("q2", q2)
     return _closed_form(name, kind, q1, q2, sqrt)
@@ -115,53 +109,48 @@ def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:
 
 def _closed_form(name: str, kind: str, q1, q2, sqrt):
     """``closed_form`` unvalidated, on floats (``sqrt=math.sqrt``) or arrays (``np.sqrt``)."""
-    if kind == "depolarising":
-        b1 = 1.0 - 0.75 * q1
-        b2 = 1.0 - 0.75 * q2
-        s = (
-            16.0 * b1 * b1 * b2 * b2
-            + 2.0 * q1 * b1 * q2 * b2
-            + q1 * q1 * q2 * b2
-            + q1 * b1 * q2 * q2
-            + (5.0 / 16.0) * q1 * q1 * q2 * q2
-        )
-        return 0.5 - s / 16.0
+    if kind == "amplitude_damping":
+        q1, q2 = sqrt(1.0 - q1), sqrt(1.0 - q2)
+    total = 0.0
+    for row in _horner_rows(name, kind):  # Horner's rule: x1 outside, each row in x2 inside
+        inner = 0.0
+        for c in row:
+            inner = inner * q2 + c
+        total = total * q1 + inner
+    return 0.5 - total / 16.0
 
-    if kind in ("dephasing", "bitflip") and name == "CNOT":
-        return 0.5 - ((1 - q1) ** 2 * (1 - q2) ** 2 + q1 * q2 * (1 - q1 * q2))
 
-    if kind == "dephasing":  # CZ
-        return 0.5 - (1 - q1 - q2 + 2 * q1 * q2) ** 2
+@cache
+def _table(name: str, kind: str) -> tuple[tuple[int, ...], ...]:
+    """T[a][b] = <R_U, DD[b] R_U DD[a]>, the integer coefficient of x1^a x2^b in <R_U, R_M>,
+    where D(x) = sum_k x^k D[k] and DD[m] = sum_{k+l=m} D[k] ⊗ D[l]; built on first use."""
+    r_u = np.rint(r := _gate_ptm(name)).astype(int)  # a signed permutation
+    if not np.abs(r - r_u).max() <= 1e-12:
+        raise ValueError(f"the {name} PTM is not an integer matrix")
+    d = _NOISES[kind][1]
+    dd = [sum(np.kron(a, d[m - k]) for k, a in enumerate(d) if 0 <= m - k < len(d))
+          for m in range(2 * len(d) - 1)]
+    return tuple(tuple(int(np.sum(r_u * (post @ r_u @ pre))) for post in dd) for pre in dd)
 
-    if kind == "bitflip":  # CZ
-        return 0.5 - (1 - q1) ** 2 * (1 - q2) ** 2
 
-    # amplitude damping; q1, q2 play the role of gamma_1, gamma_2
-    g1 = 1.0 - q1
-    g2 = 1.0 - q2
-    if name == "CNOT":
-        core = (1.0 + sqrt(g1 * g2) * (1.0 + sqrt(g1) + sqrt(g2))) ** 2 + q1 * g1 * q2 * g2
-        return 0.5 - core / 16.0
-    return 0.5 - (1.0 + sqrt(g1 * g2)) ** 4 / 16.0
+@cache
+def _horner_rows(name: str, kind: str) -> tuple[tuple[float, ...], ...]:
+    """``_table`` as float tuples, highest powers first, for ``_closed_form``."""
+    return tuple(tuple(map(float, row[::-1])) for row in _table(name, kind)[::-1])
 
 
 def _slice_polynomial(gate: str, kind: str, mode: str) -> np.ndarray:
-    """Integer coefficients, lowest first, of 16 times a slice in x = q, or s for damping.
-
-    Read off the closed form at the nodes x = k/8, where every input and square
-    root is exact, and checked at eight more; a miss raises ``ArithmeticError``.
-    """
+    """Integer coefficients, lowest first, of 16 times a slice in x = q, or s for damping:
+    anti-diagonal sums of ``_table``, or one side noiseless at x = 0, or s = 1 for damping."""
     if mode not in THRESHOLD_MODES:
         raise ValueError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
-    pre, post = {"before_only": (1, 0), "after_only": (0, 1), "equal": (1, 1)}[mode]
-    xs = np.arange(17) / 16  # nodes k/8 at even indices, checks at odd ones
-    qs = 1.0 - xs * xs if kind == "amplitude_damping" else xs
-    ys = 16.0 * _closed_form(gate, kind, pre * qs, post * qs, np.sqrt)
-    coeffs = np.rint(np.linalg.solve(np.vander(xs[::2], increasing=True), ys[::2]))
-    miss = np.max(np.abs(np.polyval(coeffs[::-1], xs[1::2]) - ys[1::2]))
-    if not miss <= 1e-9:
-        raise ArithmeticError(f"{gate} {kind} {mode} slice is not an integer polynomial (miss {miss:.3g})")
-    return coeffs.astype(int)
+    t = np.array(_table(gate, kind))
+    if mode == "equal":
+        coeffs = np.array([np.trace(t[::-1], k) for k in range(1 - len(t), len(t))])
+    else:
+        t = t.T if mode == "after_only" else t
+        coeffs = t.sum(axis=1) if kind == "amplitude_damping" else t[:, 0]
+    return 8 * (np.arange(len(coeffs)) == 0) - coeffs
 
 
 def _crossings(coeffs: Iterable[int]) -> list[float]:
@@ -236,8 +225,7 @@ def sweep(gate: str, kind: str, grid_points: int) -> list[SweepRow]:
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    name = _check_gate(gate)
-    _check_kind(kind)
+    name, kind = _check_gate(gate), _check_kind(kind)
     q1, q2 = np.indices((grid_points, grid_points)).reshape(2, -1) / (grid_points - 1)
     values = _closed_form(name, kind, q1, q2, np.sqrt)
     return [SweepRow(a, b, v, v < 0) for a, b, v in zip(q1.tolist(), q2.tolist(), values.tolist())]

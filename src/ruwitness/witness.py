@@ -39,6 +39,7 @@ from .channels import KrausChannel, gate_matrix, unitary_channel
 from .choi import choi_of
 from .linalg import pauli_basis, real_part
 
+GATE_NAMES = ("CNOT", "CZ")
 IDENTITY_STRING = "IIII"
 
 # The magic basis as columns, scaled by sqrt(2) so that the change of basis
@@ -95,8 +96,8 @@ def build_witness(
 def gate_witness(gate: str) -> Witness:
     """The CNOT or CZ witness with its certified offset beta = 1/2, built once per gate."""
     name = gate.upper()
-    if name not in ("CNOT", "CZ"):
-        raise ValueError(f"gate must be CNOT or CZ, got {gate!r}")
+    if name not in GATE_NAMES:
+        raise ValueError(f"gate must be one of {GATE_NAMES}, got {gate!r}")
     return build_witness(gate_matrix(name), 0.5, gate=name) if gate == name else gate_witness(name)
 
 

@@ -18,8 +18,13 @@ setting's rotation with ``kron`` on every call.  It is the reference for
 
 ``ptm_slice_polynomial`` is the integer polynomial of a threshold slice
 from the Pauli-transfer-matrix composition in exact integer arithmetic.  It
-certifies ``ruwitness.robustness._slice_polynomial``, which reads the same
-polynomial off the float closed form.
+certifies ``ruwitness.robustness._slice_polynomial``, which restricts the
+integer table of the closed form to the slice.
+
+``hand_closed_form`` holds the eight witness expectations as they were
+transcribed by hand before ``ruwitness.robustness`` derived them from one
+PTM formula as integer tables.  The tests expand it in sympy and require
+each table to equal it term for term, so it certifies the transcription.
 
 ``reference_sweep_rows`` is the detection-map sweep as it was before the
 grid became one array evaluation: one validated ``closed_form`` call per
@@ -117,6 +122,38 @@ def ptm_slice_polynomial(gate: str, kind: str, mode: str) -> list[int]:
     coeffs = [-int(np.sum(r_u * m)) for m in r_m]
     coeffs[0] += 8
     return coeffs
+
+
+def hand_closed_form(name: str, kind: str, q1, q2, sqrt):
+    """Tr[W_U C_M] as transcribed by hand, on floats, arrays or sympy symbols."""
+    if kind == "depolarising":
+        b1 = 1.0 - 0.75 * q1
+        b2 = 1.0 - 0.75 * q2
+        s = (
+            16.0 * b1 * b1 * b2 * b2
+            + 2.0 * q1 * b1 * q2 * b2
+            + q1 * q1 * q2 * b2
+            + q1 * b1 * q2 * q2
+            + (5.0 / 16.0) * q1 * q1 * q2 * q2
+        )
+        return 0.5 - s / 16.0
+
+    if kind in ("dephasing", "bitflip") and name == "CNOT":
+        return 0.5 - ((1 - q1) ** 2 * (1 - q2) ** 2 + q1 * q2 * (1 - q1 * q2))
+
+    if kind == "dephasing":  # CZ
+        return 0.5 - (1 - q1 - q2 + 2 * q1 * q2) ** 2
+
+    if kind == "bitflip":  # CZ
+        return 0.5 - (1 - q1) ** 2 * (1 - q2) ** 2
+
+    # amplitude damping; q1, q2 play the role of gamma_1, gamma_2
+    g1 = 1.0 - q1
+    g2 = 1.0 - q2
+    if name == "CNOT":
+        core = (1.0 + sqrt(g1 * g2) * (1.0 + sqrt(g1) + sqrt(g2))) ** 2 + q1 * g1 * q2 * g2
+        return 0.5 - core / 16.0
+    return 0.5 - (1.0 + sqrt(g1 * g2)) ** 4 / 16.0
 
 
 # Columns are the +1 and -1 eigenvectors of the measured Pauli axis.

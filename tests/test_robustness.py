@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruwitness.channels import gate_matrix, unitary_channel, validate_cpt
-from ruwitness import robustness
 from ruwitness.choi import choi_of
 from ruwitness.robustness import (
     GATE_NAMES,
@@ -19,6 +19,7 @@ from ruwitness.robustness import (
     noisy_gate,
     _crossings,
     _slice_polynomial,
+    _table,
     numeric_expectation,
     sweep,
     sweep_json_obj,
@@ -29,10 +30,18 @@ from ruwitness.robustness import (
 from ruwitness.serialize import dumps
 from ruwitness.witness import expectation, gate_witness
 
-from oracles import kraus_noisy_gate, ptm_slice_polynomial, reference_sweep_rows, reference_sweep_texts
+from oracles import (
+    hand_closed_form,
+    kraus_noisy_gate,
+    ptm_slice_polynomial,
+    reference_sweep_rows,
+    reference_sweep_texts,
+)
 
 ALL_COMBOS = [(g, k) for g in GATE_NAMES for k in NOISE_KINDS]
 ALL_SLICES = [(g, k, m) for g, k in ALL_COMBOS for m in THRESHOLD_MODES]
+# the grids of TestSweep::test_matches_per_point_reference
+SWEEP_GRIDS = (2, 3, 11, 21, 31, 41, 51, 61, 81, 101, 201)
 
 
 class TestNoiseSpec:
@@ -142,6 +151,30 @@ class TestClosedForm:
         numeric = expectation(gate_witness(gate), noisy_gate(gate, NoiseSpec(kind, q1, q2)))
         assert analytic == pytest.approx(numeric, abs=1e-10)
 
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_table_equals_hand_transcription(self, gate, kind):
+        # exact certificate: 8 - 16 * hand form, expanded in sympy, has the table's terms;
+        # damping tables are in s = sqrt(1 - gamma), so substitute gamma = 1 - s^2
+        if kind == "amplitude_damping":
+            x = sympy.symbols("s1 s2", positive=True)
+            strengths = [1 - v**2 for v in x]
+        else:
+            x = strengths = sympy.symbols("q1 q2")
+        hand = hand_closed_form(gate, kind, *strengths, sympy.sqrt)
+        hand = hand.xreplace({f: sympy.Rational(f) for f in hand.atoms(sympy.Float)})  # exact binary values
+        expected = dict(sympy.Poly(sympy.expand(8 - 16 * hand), *x).terms())
+        table = _table(gate, kind)
+        assert {(a, b): c for a, row in enumerate(table) for b, c in enumerate(row) if c} == expected
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_matches_hand_transcription_on_sweep_grids(self, gate, kind):
+        for grid in SWEEP_GRIDS:
+            for i, j in itertools.product(range(grid), repeat=2):
+                q1, q2 = i / (grid - 1), j / (grid - 1)
+                value = closed_form(gate, kind, q1, q2)
+                hand = hand_closed_form(gate, kind, q1, q2, math.sqrt)
+                assert abs(value - hand) <= 1e-15 and (value < 0) == (hand < 0), (grid, q1, q2)
+
     def test_depolarising_numeric_cz_route(self):
         # the shared formula must also match the CZ witness numerics
         noise = NoiseSpec("depolarising", 0.25, 0.65)
@@ -226,11 +259,6 @@ class TestThreshold:
         recovered = _slice_polynomial(gate, kind, mode).tolist()
         assert len(recovered) >= len(exact)
         assert recovered == exact + [0] * (len(recovered) - len(exact))
-
-    def test_non_polynomial_closed_form_raises(self, monkeypatch):
-        monkeypatch.setattr(robustness, "_closed_form", lambda gate, kind, q1, q2, sqrt: sqrt(q1 + q2))
-        with pytest.raises(ArithmeticError):
-            threshold("CNOT", "dephasing", "before_only")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
