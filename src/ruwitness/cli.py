@@ -3,8 +3,8 @@
 Subcommands: witness, beta, expect, threshold, sweep, simulate, selftest.
 All state comes from flags (no config files), numeric output is fixed at
 12 significant digits, and identical argv plus seed produce byte-identical
-output files.  Exit status: 0 success, 1 invalid input, 2 internal
-invariant failure.
+output files.  Exit status: 0 success, 1 invalid input (an output path that
+cannot be written included), 2 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"ruwitness: error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import dropwhile
 from math import sqrt
-from typing import IO, Iterable
+from operator import not_
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +81,7 @@ class NoiseSpec:
         _check_unit_interval("q2", self.q2)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     q1: float
     q2: float
     value: float
@@ -135,8 +136,10 @@ def _table(name: str, kind: str) -> tuple[tuple[int, ...], ...]:
 
 @cache
 def _horner_rows(name: str, kind: str) -> tuple[tuple[float, ...], ...]:
-    """``_table`` as float tuples, highest powers first, for ``_closed_form``."""
-    return tuple(tuple(map(float, row[::-1])) for row in _table(name, kind)[::-1])
+    """``_table`` as float tuples, highest powers first, for ``_closed_form``; leading
+    zeros are dropped, since they only add 0.0 to a 0.0 accumulator."""
+    rows = (tuple(dropwhile(not_, map(float, reversed(row)))) for row in reversed(_table(name, kind)))
+    return tuple(dropwhile(not_, rows))
 
 
 def _slice_polynomial(gate: str, kind: str, mode: str) -> np.ndarray:
@@ -228,16 +231,15 @@ def sweep(gate: str, kind: str, grid_points: int) -> list[SweepRow]:
     name, kind = _check_gate(gate), _check_kind(kind)
     q1, q2 = np.indices((grid_points, grid_points)).reshape(2, -1) / (grid_points - 1)
     values = _closed_form(name, kind, q1, q2, np.sqrt)
-    return [SweepRow(a, b, v, v < 0) for a, b, v in zip(q1.tolist(), q2.tolist(), values.tolist())]
+    return list(map(SweepRow._make, zip(q1.tolist(), q2.tolist(), values.tolist(), (values < 0).tolist())))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
     """CSV with header q1,q2,value,detected and 12-significant-digit numbers."""
     coord = cache(fmt12)  # q1 and q2 repeat: format each distinct one once
     fh.write("q1,q2,value,detected\n")
-    for row in rows:
-        flag = "true" if row.detected else "false"
-        fh.write(f"{coord(row.q1)},{coord(row.q2)},{fmt12(row.value)},{flag}\n")
+    for q1, q2, value, detected in rows:
+        fh.write(f"{coord(q1)},{coord(q2)},{fmt12(value)},{'true' if detected else 'false'}\n")
 
 
 def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
@@ -245,15 +247,8 @@ def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
     return {
         "gate": gate.lower(),
         "noise": kind,
-        "rows": [
-            {
-                "q1": coord(r.q1),
-                "q2": coord(r.q2),
-                "value": round12(r.value),
-                "detected": r.detected,
-            }
-            for r in rows
-        ],
+        "rows": [{"q1": coord(q1), "q2": coord(q2), "value": round12(value), "detected": detected}
+                 for q1, q2, value, detected in rows],
     }
 
 

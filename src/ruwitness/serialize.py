@@ -6,8 +6,9 @@ import json
 import math
 from decimal import Decimal
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 
 def fmt12(x: float) -> str:
@@ -25,6 +26,9 @@ def round12(x: float) -> float:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
 _DICT = frozenset((dict,))
+_LITERALS = {True: "true", False: "false", None: "null"}
+_COLUMN = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
+           bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
 
 
 @cache
@@ -33,14 +37,31 @@ def _flat_encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
 
 
-def _is_record_list(items: list) -> bool:
-    """Whether every item is a nonempty dict with ``str`` keys and scalar values."""
-    return (
-        _DICT.issuperset(map(type, items))
-        and all(items)
-        and _STR.issuperset(map(type, chain.from_iterable(items)))
-        and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, items))))
-    )
+def _records(items: list, pad: str) -> str | None:
+    """A list of flat records printed column by column, or None for the generic route.
+
+    Every record needs the first one's nonempty set of ``str`` keys and every
+    column one exact scalar type, finite floats only; ``pad`` is the newline and
+    indent of the list's items.
+    """
+    first = items[0]
+    if not (_DICT.issuperset(map(type, items)) and first and _STR.issuperset(map(type, first))
+            and set(map(len, items)) == {len(first)}):
+        return None
+    parts, sep = [], "{" + pad + "  "
+    for key in sorted(first):
+        try:  # equal lengths and no missing key: the same key set
+            column = list(map(itemgetter(key), items))
+        except KeyError:
+            return None
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind not in _COLUMN or kind is float and not all(map(math.isfinite, column)):
+            return None
+        parts += [repeat(f"{sep}{encode_basestring_ascii(key)}: "), map(_COLUMN[kind], column)]
+        sep = "," + pad + "  "
+    parts.append(repeat(pad + "}," + pad))
+    return "".join(chain.from_iterable(zip(*parts)))[: -len(pad) - 1]
 
 
 def _encode(obj, depth: int) -> str:
@@ -62,17 +83,10 @@ def _encode(obj, depth: int) -> str:
     pad = "\n" + "  " * (depth + 1)
     if _SCALARS.issuperset(map(type, obj.values() if kind is dict else obj)):
         body = _flat_encoder(depth + 1).encode(obj)[1:-1]
-    elif kind is list and _is_record_list(obj):
-        # Records are one level deeper than the list's items, so the C
-        # encoder's separator between two records is the token "},<inner>{".
-        inner = pad + "  "
-        records = _flat_encoder(depth + 2).encode(obj)[2:-2]
-        records = records.replace("}," + inner + "{", pad + "}," + pad + "{" + inner)
-        body = "{" + inner + records + pad + "}"
     elif kind is dict:
         items = sorted(obj.items())
         body = ("," + pad).join(f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}" for k, v in items)
-    else:
+    elif (body := _records(obj, pad)) is None:
         body = ("," + pad).join(_encode(v, depth + 1) for v in obj)
     return brackets[0] + pad + body + pad[:-2] + brackets[1]
 
@@ -81,8 +95,8 @@ def dumps(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
     Byte-identical to ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``;
-    flat containers and lists of flat records go through the C encoder in one
-    call each.
+    flat containers go through the C encoder in one call each, and lists of
+    same-key flat records are printed one column at a time.
     """
     try:
         return _encode(obj, 0) + "\n"

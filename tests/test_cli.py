@@ -242,6 +242,26 @@ class TestSelftestCommand:
         assert out[3] == "failures 1"
 
 
+class TestUnwritableOutput:
+    """An output path in a missing directory is invalid input: exit 1, no traceback."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("sweep", "--gate", "cz", "--noise", "bitflip", "--grid", "2"), "--out"),
+        (("sweep", "--gate", "cz", "--noise", "bitflip", "--grid", "2", "--format", "json"), "--out"),
+        (("threshold", "--gate", "cnot", "--noise", "dephasing", "--mode", "before"), "--out"),
+        (("simulate", "--gate", "cnot", "--noise", "depolarising", "--q1", "0", "--q2", "0",
+          "--shots", "10", "--seed", "1"), "--out"),
+        (("witness", "--gate", "cnot"), "--decomposition-out"),
+    ], ids=["sweep-csv", "sweep-json", "threshold", "simulate", "witness"])
+    def test_exits_one_with_message(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "missing_dir" / "out.txt"
+        code, _, err = run(capsys, *argv, flag, str(path))
+        assert code == 1
+        assert err.startswith("ruwitness: error: ") and str(path) in err
+        assert "Traceback" not in err
+        assert not path.parent.exists()
+
+
 class TestParsing:
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(capsys, "witness", "--gate", "cnot", "--frobnicate")

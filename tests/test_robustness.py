@@ -15,9 +15,12 @@ from ruwitness.robustness import (
     NOISE_KINDS,
     THRESHOLD_MODES,
     NoiseSpec,
+    SweepRow,
     closed_form,
     noisy_gate,
+    _closed_form,
     _crossings,
+    _horner_rows,
     _slice_polynomial,
     _table,
     numeric_expectation,
@@ -175,6 +178,28 @@ class TestClosedForm:
                 hand = hand_closed_form(gate, kind, q1, q2, math.sqrt)
                 assert abs(value - hand) <= 1e-15 and (value < 0) == (hand < 0), (grid, q1, q2)
 
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_trimmed_horner_is_bit_identical_to_the_full_table(self, gate, kind):
+        # _horner_rows drops leading zero coefficients; every grid-201 value keeps its bits
+        q1, q2 = np.indices((201, 201)).reshape(2, -1) / 200
+        x1, x2 = (np.sqrt(1.0 - q1), np.sqrt(1.0 - q2)) if kind == "amplitude_damping" else (q1, q2)
+        total = 0.0
+        for row in _table(gate, kind)[::-1]:
+            inner = 0.0
+            for c in row[::-1]:
+                inner = inner * x2 + float(c)
+            total = total * x1 + inner
+        full = 0.5 - total / 16.0
+        trimmed = _closed_form(gate, kind, q1, q2, np.sqrt)
+        assert np.array_equal(trimmed.view(np.int64), full.view(np.int64))
+        scalars = [closed_form(gate, kind, a, b) for a, b in zip(q1.tolist(), q2.tolist())]
+        assert np.array_equal(np.array(scalars).view(np.int64), full.view(np.int64))
+
+    def test_damping_tables_are_trimmed(self):
+        assert sum(map(len, _horner_rows("CZ", "amplitude_damping"))) == 15
+        assert sum(map(len, _horner_rows("CNOT", "amplitude_damping"))) == 17
+        assert all(row and row[0] for row in _horner_rows("CZ", "amplitude_damping"))
+
     def test_depolarising_numeric_cz_route(self):
         # the shared formula must also match the CZ witness numerics
         noise = NoiseSpec("depolarising", 0.25, 0.65)
@@ -289,6 +314,48 @@ class TestThreshold:
         assert obj["noise"] == "depolarising"
         assert obj["mode"] == "before_only"
         assert obj["roots"] == [pytest.approx((4 - 2 * math.sqrt(2)) / 3, abs=1e-12)]
+
+
+class TestSweepRow:
+    def test_fields_in_order(self):
+        assert SweepRow._fields == ("q1", "q2", "value", "detected")
+
+    def test_repr(self):
+        row = sweep("CNOT", "bitflip", 2)[0]
+        assert repr(row) == "SweepRow(q1=0.0, q2=0.0, value=-0.5, detected=True)"
+
+    def test_fields_cannot_be_assigned(self):
+        row = SweepRow(0.0, 0.0, -0.5, True)
+        with pytest.raises(AttributeError):
+            row.value = 1.0
+
+    def test_hash_and_equality_by_value(self):
+        row = SweepRow(0.0, 0.5, -0.25, True)
+        same = SweepRow(q1=0.0, q2=0.5, value=-0.25, detected=True)
+        assert row == same and hash(row) == hash(same) and len({row, same}) == 1
+        assert row == (0.0, 0.5, -0.25, True)
+        assert row != SweepRow(0.0, 0.5, -0.25, False)
+
+    def test_sweep_yields_python_scalars(self):
+        for row in sweep("CZ", "amplitude_damping", 3):
+            assert tuple(map(type, row)) == (float, float, float, bool)
+
+    def test_writers_accept_a_generator(self):
+        rows = sweep("CZ", "dephasing", 4)
+        want = io.StringIO()
+        write_sweep_csv(rows, want)
+        got = io.StringIO()
+        write_sweep_csv((r for r in rows), got)
+        assert got.getvalue() == want.getvalue()
+        assert sweep_json_obj("cz", "dephasing", (r for r in rows)) == sweep_json_obj("cz", "dephasing", rows)
+
+    def test_writers_accept_an_empty_iterable(self):
+        buf = io.StringIO()
+        write_sweep_csv(iter(()), buf)
+        assert buf.getvalue() == "q1,q2,value,detected\n"
+        obj = sweep_json_obj("CZ", "bitflip", [])
+        assert obj == {"gate": "cz", "noise": "bitflip", "rows": []}
+        assert '"rows": []' in dumps(obj)
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ruwitness.serialize import dumps, fmt12, round12
+from ruwitness.serialize import _records, dumps, fmt12, round12
 
 
 @given(st.floats())
@@ -24,8 +24,9 @@ def test_round12_equals_the_parsed_fmt12(x):
     assert repr(round12(x)) == repr(float(fmt12(x)))
 
 
-# Strings that look like the separators dumps splices or replaces.
-ADVERSARIAL = ("a{", "},\n  {", "},\n      {", "}, {", '"', "\n", "\\", "é", " ", "\x00", "")
+# Strings that look like JSON separators, format templates or escapes.
+ADVERSARIAL = ("a{", "},\n  {", "},\n      {", "}, {", '"', "\n", "\\", "é", " ", "\x00", "",
+               "%", "%s", "{}", "{0}", "日本")
 TEXT = st.sampled_from(ADVERSARIAL) | st.text()
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
 # Values of types that the stdlib prints by subclass or rejects outright.
@@ -82,6 +83,64 @@ def test_dumps_equals_stdlib_on_json_trees(obj):
 @given(st.dictionaries(TEXT, RECORDS | SCALARS))
 def test_dumps_equals_stdlib_on_lists_of_records(obj):
     assert_matches_stdlib({"rows": obj, "nested": [obj]})
+
+
+# One strategy per column type of the columnar record path: exact Python
+# scalars, finite floats only.
+COLUMNS = (
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 0.1]),
+    st.integers() | st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**63)),
+    st.booleans(),
+    st.none(),
+    TEXT,
+)
+
+
+@st.composite
+def same_key_records(draw):
+    """A nonempty list of records that share one key set, with one scalar type per column."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    columns = [draw(st.sampled_from(COLUMNS)) for _ in keys]
+    return draw(st.lists(st.fixed_dictionaries(dict(zip(keys, columns))), min_size=1, max_size=8))
+
+
+@given(same_key_records())
+@example([{"q1": 0.0, "q2": -0.0, "value": 5e-324, "detected": True},
+          {"q1": 1e16, "q2": 1.0, "value": -0.5, "detected": False}])
+@example([{"%": "%s", "{": "{}", '"': "\\", "\n": "é"}])
+@example([{"n": 2**63}, {"n": -(2**64) - 1}, {"n": 0}])
+@example([{"a": None}, {"a": None}])
+def test_same_key_records_print_column_by_column(rows):
+    assert _records(rows, "\n  ") is not None  # the strategy reaches the columnar path
+    assert_matches_stdlib(rows)
+    assert_matches_stdlib({"rows": rows, "nested": [[rows]]})
+
+
+@pytest.mark.parametrize("rows", [
+    [{"a": True}, {"a": 1}],  # bool and int mixed in one column
+    [{"a": 0.5}, {"a": 1}],  # float and int mixed in one column
+    [{"a": 0.5}, {"a": math.nan}],
+    [{"a": math.inf}, {"a": 0.5}],
+    [{"a": -math.inf}],
+    [{"a": np.float64(0.5)}, {"a": np.float64(0.25)}],
+    [{"a": 1}, {"b": 1}],  # same length, different keys
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{"a": 1, "b": 2}, {"a": 1}],
+    [{}],
+    [{}, {}],
+    [{"a": [1]}, {"a": [2]}],
+    [{"a": 1}, [1]],
+    [np.array([1.0, 2.0])],  # the stdlib raises TypeError, not the array's ValueError
+    [{1: "a"}, {1: "b"}],
+], ids=repr)
+def test_other_record_lists_take_the_generic_route(rows):
+    assert _records(rows, "\n  ") is None
+    assert_matches_stdlib(rows)
+    assert_matches_stdlib({"rows": rows})
+
+
+def test_an_oversized_int_column_raises_the_stdlib_error():
+    assert_matches_stdlib([{"n": 10**5000}])
 
 
 def test_dumps_matches_stdlib_on_a_reference_cycle():
