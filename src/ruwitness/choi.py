@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import KrausChannel, _apply
-from .linalg import DEFAULT_TOL, hs_inner, is_hermitian, partial_trace, real_part
+from .linalg import DEFAULT_TOL, _validate_choi, hs_inner, partial_trace, real_part
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,25 +61,18 @@ def choi_of(ch: KrausChannel, tol: float = DEFAULT_TOL) -> ChoiState:
     """Choi state (M ⊗ id)[|alpha><alpha|] of a CPT channel.
 
     Uses the identity (A ⊗ 1)|alpha> = rowvec(A)/sqrt(d): the Choi matrix
-    is (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag.
+    is (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag.  A noisy gate keeps the
+    matrix it was built from, validated at ``DEFAULT_TOL``; it is returned
+    as is unless ``tol`` is stricter.
     """
+    kept = vars(ch).get("_choi")
+    if kept is not None and tol >= DEFAULT_TOL:
+        return ChoiState(ch.dim, kept)
     d = ch.dim
     vecs = ch.kraus.reshape(ch.n_kraus, d * d) / np.sqrt(d)
     m = np.einsum("ki,kj->ij", vecs, vecs.conj())
     _validate_choi(m, d, tol)
     return ChoiState(d, m)
-
-
-def _validate_choi(m: np.ndarray, d: int, tol: float) -> None:
-    if not is_hermitian(m, tol):
-        raise ValueError("Choi matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > tol:
-        raise ValueError("Choi matrix does not have unit trace")
-    if np.linalg.eigvalsh(m)[0] < -tol:
-        raise ValueError("Choi matrix is not positive semidefinite")
-    marginal = partial_trace(m, (d, d), keep=1)
-    if np.max(np.abs(marginal - np.eye(d) / d)) > tol:
-        raise ValueError("channel is not trace preserving (bad Choi marginal)")
 
 
 def purity(c: ChoiState) -> float:

@@ -17,8 +17,9 @@ distribution is cheap and sidesteps rotation-gate conventions entirely.
 Everything that depends only on the witness and the settings (the term
 assignment, the sign rows, the stacked local rotations) is compiled once
 into a measurement plan kept on the witness's cached decomposition.  An
-estimate then builds one Choi state C and reads all Born vectors as
-``diag(R^dag C R)`` from one stacked matrix product over the settings.
+estimate then reads the channel's Choi state C (a noisy gate keeps the one
+it was built from) and all Born vectors as ``diag(R^dag C R)`` from one
+stacked matrix product over the settings.
 Settings must be distinct: a repeated setting would count its terms twice.
 """
 

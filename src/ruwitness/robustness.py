@@ -9,7 +9,8 @@ with independent strengths q1 (pre) and q2 (post).  In Pauli transfer
 matrices (PTMs), 16 Tr[W_U C_M] = 8 - <R_U, (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1)>, and
 each noise PTM D is an integer polynomial in x = q, or s = sqrt(1 - gamma) for
 damping, so :func:`closed_form` is 1/2 - T(x1, x2)/16 for an integer table T
-per gate and noise; the selftest checks it against the Kraus composition.
+per gate and noise.  :func:`noisy_gate` composes the same D(x) numerically, so
+the selftest checks both against the Kraus composition, the independent route.
 
 Thresholds are the sign changes of slices of T (pre-only, post-only or equal
 strengths), integer polynomials whose roots a Sturm chain isolates exactly,
@@ -42,14 +43,15 @@ from .channels import (
 from .serialize import fmt12, round12
 from .witness import GATE_NAMES, expectation, gate_witness
 
-# kind -> (single-qubit constructor, PTM coefficients D[k] in the Pauli order I, X, Y, Z)
-_NOISES = {
+# kind -> (single-qubit constructor, PTM coefficients D[k] in the Pauli order I, X, Y, Z,
+# stacked as one (k, 4, 4) integer array)
+_NOISES = {kind: (make, np.array(d)) for kind, (make, d) in {
     "depolarising": (depolarising, (np.eye(4, dtype=int), -np.diag([0, 1, 1, 1]))),
     "dephasing": (dephasing, (np.eye(4, dtype=int), -2 * np.diag([0, 1, 1, 0]))),
     "bitflip": (bit_flip, (np.eye(4, dtype=int), -2 * np.diag([0, 0, 1, 1]))),
     "amplitude_damping": (amplitude_damping, (np.outer([1, 0, 0, 1], [1, 0, 0, 0]),
                                               np.diag([0, 1, 1, 0]), np.outer([0, 0, 0, 1], [-1, 0, 0, 1]))),
-}
+}.items()}
 NOISE_KINDS = tuple(_NOISES)
 THRESHOLD_MODES = ("before_only", "after_only", "equal")
 
@@ -95,9 +97,17 @@ def single_qubit_noise(kind: str, q: float) -> KrausChannel:
 def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
     """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1) with at most 16 Kraus operators; their order
     and gauge are not part of the contract, so compare Choi states, not Kraus lists.
+    The noise PTMs come from the ``_NOISES`` coefficients that the closed forms use.
     """
-    pre, post = (single_qubit_noise(noise.kind, q) for q in (noise.q1, noise.q2))
+    pre, post = (_noise_ptm(noise.kind, q) for q in (noise.q1, noise.q2))
     return _noisy_gate_channel(_check_gate(gate), pre, post)
+
+
+def _noise_ptm(kind: str, q: float) -> np.ndarray:
+    """Single-qubit noise PTM D(x) = sum_k x^k D[k] from ``_NOISES``, x = q, or sqrt(1 - q)."""
+    x = sqrt(1.0 - q) if kind == "amplitude_damping" else q
+    d = _NOISES[kind][1]
+    return np.dot([x**k for k in range(len(d))], d.reshape(len(d), 16)).reshape(4, 4)
 
 
 def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:

@@ -7,7 +7,9 @@ package-level invariant: algebra identities, CPT validity, the three-way
 overlap equivalence, golden decompositions, minimal setting covers, exact
 beta, SRU non-negativity, reference thresholds, estimator exactness and
 closed forms versus the PTM and Kraus routes.  ``closed_form`` and
-``noisy_gate`` share ``_gate_ptm``, so only the Kraus route is independent.
+``noisy_gate`` share ``_gate_ptm`` and the ``_NOISES`` coefficients, so only
+the Kraus route (here in ``check_closed_forms`` and in
+``tests/oracles.py::kraus_noisy_gate``) is independent of them.
 """
 
 from __future__ import annotations

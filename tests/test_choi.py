@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density
 from ruwitness.channels import (
+    KrausChannel,
     dephasing,
     depolarising,
     gate_matrix,
@@ -74,6 +75,12 @@ class TestPermuteQubits:
 
 
 class TestChoiOf:
+    def test_rejects_channels_that_are_not_cpt(self):
+        with pytest.raises(ValueError, match="unit trace"):
+            choi_of(KrausChannel(2, [2 * np.eye(2)]))
+        with pytest.raises(ValueError, match="not trace preserving"):
+            choi_of(KrausChannel(2, [np.diag([np.sqrt(1.5), np.sqrt(0.5)])]))
+
     def test_identity_gives_bell_projector(self):
         c = choi_of(identity_channel(2))
         v = max_entangled(2)

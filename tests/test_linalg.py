@@ -7,6 +7,7 @@ from ruwitness.linalg import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
+    _validate_choi,
     all_pauli_strings,
     hs_inner,
     is_hermitian,
@@ -135,3 +136,26 @@ class TestHelpers:
         assert real_part(1.25 + 1e-15j) == 1.25
         with pytest.raises(ArithmeticError):
             real_part(1.0 + 1e-6j)
+
+
+class TestValidateChoi:
+    BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex) / 2  # Choi state of the identity
+
+    def test_accepts_a_choi_state(self):
+        _validate_choi(self.BELL, 2, 1e-10)
+        _validate_choi(np.eye(4) / 4, 2, 1e-10, lowest=0.25)
+
+    @pytest.mark.parametrize("matrix,message", [
+        (np.triu(np.ones((4, 4))) / 4, "not Hermitian"),
+        (np.eye(4) / 2, "unit trace"),
+        (np.diag([0.75, 0.25, -0.25, 0.25]), "positive semidefinite"),
+        (np.diag([0.5, 0.25, 0.25, 0.0]), "not trace preserving"),
+    ])
+    def test_rejects(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            _validate_choi(matrix, 2, 1e-10)
+
+    def test_lowest_eigenvalue_from_the_caller(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _validate_choi(self.BELL, 2, 1e-10, lowest=-1e-9)
+        _validate_choi(np.diag([0.75, 0.25, -0.25, 0.25]), 2, 1e-10, lowest=0.0)  # trusted as given

@@ -8,7 +8,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruwitness.channels import gate_matrix, unitary_channel, validate_cpt
+from ruwitness.channels import (
+    KrausChannel,
+    _noisy_gate_channel,
+    _ptm,
+    compose,
+    gate_matrix,
+    identity_channel,
+    unitary_channel,
+    validate_cpt,
+)
 from ruwitness.choi import choi_of
 from ruwitness.robustness import (
     GATE_NAMES,
@@ -21,9 +30,11 @@ from ruwitness.robustness import (
     _closed_form,
     _crossings,
     _horner_rows,
+    _noise_ptm,
     _slice_polynomial,
     _table,
     numeric_expectation,
+    single_qubit_noise,
     sweep,
     sweep_json_obj,
     threshold,
@@ -85,6 +96,44 @@ class TestNoisyGate:
             assert np.max(np.abs(choi - reference)) < 1e-12, (q1, q2)
             assert ch.n_kraus == np.linalg.matrix_rank(choi) <= 16, (q1, q2)
             assert validate_cpt(ch), (q1, q2)
+            # the kept Choi matrix against a rebuild from the returned operators
+            rebuilt = choi_of(KrausChannel(4, ch.kraus)).matrix
+            assert np.max(np.abs(choi - rebuilt)) < 1e-12, (q1, q2)
+        for q in grid:
+            # the coefficient table against the Kraus constructors
+            table_ptm = _noise_ptm(kind, q)
+            assert np.max(np.abs(table_ptm - _ptm(single_qubit_noise(kind, q)))) < 1e-15, q
+
+    def test_composed_map_that_is_not_cp_raises(self):
+        # depolarising at strength 1.5 has Pauli weight 1 - 3q/4 < 0 on the identity
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _noisy_gate_channel("CNOT", _noise_ptm("depolarising", 1.5), _noise_ptm("depolarising", 0.0))
+
+    def test_composed_map_that_is_not_tp_raises(self):
+        # one Kraus operator diag(sqrt 1.5, sqrt 0.5): CP with a unit-trace Choi state, not TP
+        lossy = _ptm(KrausChannel(2, [np.diag([math.sqrt(1.5), math.sqrt(0.5)])]))
+        with pytest.raises(ValueError, match="not trace preserving"):
+            _noisy_gate_channel("CZ", lossy, _noise_ptm("dephasing", 0.0))
+
+    def test_choi_of_reads_the_kept_matrix(self, monkeypatch):
+        ch = noisy_gate("CNOT", NoiseSpec("depolarising", 0.4, 0.4))  # full rank: nothing dropped
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        kept = choi_of(ch).matrix
+        assert calls == []
+        strict = choi_of(ch, tol=1e-13).matrix  # a stricter tol rebuilds and validates in full
+        assert len(calls) == 1
+        assert np.max(np.abs(kept - strict)) < 1e-12
+
+    def test_derived_channels_keep_no_choi_state(self, monkeypatch):
+        ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.3, 0.6))
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        for derived in (KrausChannel(4, ch.kraus), compose(identity_channel(4), ch)):
+            vecs = derived.kraus.reshape(derived.n_kraus, 16) / 2.0
+            expected = np.einsum("ki,kj->ij", vecs, vecs.conj())
+            assert np.array_equal(choi_of(derived).matrix, expected)
+        assert len(calls) == 2
 
     def test_amplitude_damping_one_sided_count(self):
         ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.4, 0.0))
