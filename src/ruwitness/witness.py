@@ -112,9 +112,16 @@ def beta_sru(
     Q in SO(4), and Horn's theorem puts the diagonals of SO(4) in the hull
     of the even-sign vectors, so the maximum sits on one of those eight.
     The value is exact up to round-off; ``restarts``, ``tol`` and ``seed``
-    are accepted for compatibility and do not change it.
+    are accepted for compatibility and do not change it.  The last value is
+    kept, so :func:`build_witness` rechecking its caller's beta is free.
     """
     u = np.asarray(u, dtype=complex)
+    return _exact_beta(u.shape, u.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _exact_beta(shape: tuple[int, ...], data: bytes) -> float:
+    u = np.frombuffer(data, dtype=complex).reshape(shape)
     if u.shape != (4, 4) or np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-10:
         raise ValueError("beta_sru expects a 4x4 unitary")
     ub = _MAGIC.conj().T @ u @ _MAGIC
@@ -136,8 +143,12 @@ class PauliDecomposition:
     terms: tuple[tuple[Fraction | float, str], ...]
 
     @cached_property
+    def _problem(self) -> tuple[list[int], list[list[int]]]:
+        return _cover_problem(self)
+
+    @cached_property
     def _cover(self) -> tuple[str, ...]:
-        masks, cand_for = _cover_problem(self)
+        masks, cand_for = self._problem
         return tuple(ALL_SETTINGS[j] for j in best_cover(masks, cand_for, len(cand_for)))
 
     def coefficient(self, string: str) -> Fraction | float:
@@ -179,17 +190,17 @@ def pauli_decompose(w: Witness) -> PauliDecomposition:
 
 def _decompose(matrix: np.ndarray) -> PauliDecomposition:
     strings, stack = pauli_basis(4)
-    coeffs = np.einsum("pij,ji->p", stack, matrix) / 16.0
-    if np.max(np.abs(coeffs.imag)) > 1e-12:
+    coeffs = stack.reshape(256, 256) @ matrix.T.ravel() / 16.0
+    if not np.max(np.abs(coeffs.imag)) <= 1e-12:  # NaN fails too
         raise ArithmeticError("witness matrix is not Hermitian")
-    terms: list[tuple[Fraction | float, str]] = []
-    for s, c in zip(strings, coeffs.real):
-        snapped = round(c * 64)
-        if abs(c - snapped / 64) > _SNAP_TOL:
-            terms.append((float(c), s))
-        elif snapped:
-            terms.append((Fraction(snapped, 64), s))
-    return PauliDecomposition(tuple(terms))
+    c = coeffs.real
+    snapped = np.rint(c * 64)
+    exact = np.abs(c - snapped / 64) <= _SNAP_TOL
+    kept = np.flatnonzero(~exact | (snapped != 0))
+    columns = (kept.tolist(), c[kept].tolist(), snapped[kept].tolist(), exact[kept].tolist())
+    return PauliDecomposition(tuple(
+        (Fraction(int(k), 64) if e else v, strings[i]) for i, v, k, e in zip(*columns)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +221,26 @@ _SETTING_INDEX = {s: j for j, s in enumerate(ALL_SETTINGS)}
 def _cover_problem(decomp: PauliDecomposition) -> tuple[list[int], list[list[int]]]:
     """Per-setting bitmasks of covered strings, and each string's candidate settings.
 
-    A string's candidates are read off its letters: an identity factor takes
-    any axis, every other factor fixes its own.
+    Bits follow a stable sort by identity count, fewest candidates first;
+    of settings with equal masks only the smallest index stays a candidate.
     """
-    strings = [s for _, s in decomp.terms if s != IDENTITY_STRING]
+    strings = sorted((s for _, s in decomp.terms if s != IDENTITY_STRING), key=lambda s: s.count("I"))
+    candidates = [_candidates(s) for s in strings]
     masks = [0] * len(ALL_SETTINGS)
-    cand_for = []
-    for i, s in enumerate(strings):
-        if len(s) != 4 or not set(s) <= set("IXYZ"):
-            raise ValueError(f"not a four-qubit Pauli string: {s!r}")
-        axes = ("XYZ" if p == "I" else p for p in s)
-        candidates = [_SETTING_INDEX["".join(a)] for a in product(*axes)]
-        for j in candidates:
+    for i, c in enumerate(candidates):
+        for j in c:
             masks[j] |= 1 << i
-        cand_for.append(candidates)
-    return masks, cand_for
+    first = {m: j for j, m in reversed(tuple(enumerate(masks)))}
+    return masks, [[j for j in c if first[masks[j]] == j] for c in candidates]
+
+
+@lru_cache(maxsize=None)
+def _candidates(string: str) -> tuple[int, ...]:
+    """Settings covering a string: an identity factor takes any axis, others fix their own."""
+    if len(string) != 4 or not set(string) <= set("IXYZ"):
+        raise ValueError(f"not a four-qubit Pauli string: {string!r}")
+    axes = ("XYZ" if p == "I" else p for p in string)
+    return tuple(_SETTING_INDEX["".join(a)] for a in product(*axes))
 
 
 def best_cover(
@@ -232,11 +248,14 @@ def best_cover(
 ) -> tuple[int, ...] | None:
     """The smallest cover of at most ``bound`` settings, or None if there is none.
 
-    Exhaustive branch-and-bound: branch on the uncovered string with the
-    fewest covering settings, and prune a branch only when even covering
-    ``max_gain`` strings per further setting would exceed ``bound``.  Ties
-    survive the pruning, so among minimum covers the smallest sorted index
-    tuple wins.
+    Exhaustive branch-and-bound: branch on the lowest uncovered string,
+    which has the fewest covering settings because :func:`_cover_problem`
+    orders strings by identity count, and prune a branch only when even
+    covering ``max_gain`` strings per further setting would exceed
+    ``bound``.  Ties survive the pruning, so among minimum covers the
+    smallest sorted index tuple wins.  A setting whose mask repeats a
+    smaller index's is dropped: a minimum cover holds at most one of the
+    two, and swapping in the smaller index gives a smaller sorted tuple.
     """
     universe = (1 << len(cand_for)) - 1
     max_gain = max(m.bit_count() for m in masks)
@@ -252,11 +271,7 @@ def best_cover(
         remaining = (universe & ~covered).bit_count()
         if len(chosen) + ceil(remaining / max_gain) > bound:
             return
-        element = min(
-            (i for i in range(len(cand_for)) if not covered >> i & 1),
-            key=lambda i: len(cand_for[i]),
-        )
-        for j in cand_for[element]:
+        for j in cand_for[(~covered & (covered + 1)).bit_length() - 1]:
             chosen.append(j)
             rec(covered | masks[j], chosen)
             chosen.pop()
@@ -267,7 +282,7 @@ def best_cover(
 
 def cover_exists(decomp: PauliDecomposition, size: int) -> bool:
     """Whether ``size`` measurement settings suffice to cover the decomposition."""
-    return best_cover(*_cover_problem(decomp), size) is not None
+    return best_cover(*decomp._problem, size) is not None
 
 
 def minimal_settings(decomp: PauliDecomposition) -> tuple[str, ...]:

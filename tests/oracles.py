@@ -38,9 +38,21 @@ and ``ruwitness.serialize.dumps``.
 witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
 unitary, so it is a certified lower bound on the exact offset.
+
+``reference_decompose`` is the Pauli split as it was before it became one
+matrix-vector product: an einsum over the 256 strings and one Python
+``round`` per coefficient.  ``reference_best_cover`` is the set-cover search
+as it was before the strings were ordered by identity count and settings
+with equal masks collapsed: it branches on the uncovered string with the
+fewest candidates through ``min``.  Both are the references for
+``ruwitness.witness``, which must return the same terms and the same
+lexicographically smallest minimum cover.
 """
 
 import json
+from fractions import Fraction
+from itertools import product
+from math import ceil
 
 import numpy as np
 from scipy.optimize import minimize
@@ -51,7 +63,7 @@ from ruwitness.linalg import kron, pauli_basis
 from ruwitness.protocol import EstimateResult
 from ruwitness.robustness import SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
-from ruwitness.witness import minimal_settings, pauli_decompose, setting_covers
+from ruwitness.witness import ALL_SETTINGS, minimal_settings, pauli_decompose, setting_covers
 
 
 def kraus_noisy_gate(gate: str, noise):
@@ -308,3 +320,64 @@ def beta_search(
     polish = {"xatol": tol * 1e-2, "fatol": tol * 1e-4, "maxfev": 2000}
     refined = minimize(negative, best.x, method="Nelder-Mead", options=polish)
     return float(-min(best.fun, refined.fun))
+
+
+def reference_decompose(matrix: np.ndarray) -> tuple:
+    """Pauli terms of a witness matrix, coefficient by coefficient."""
+    strings, stack = pauli_basis(4)
+    coeffs = np.einsum("pij,ji->p", stack, matrix) / 16.0
+    if np.max(np.abs(coeffs.imag)) > 1e-12:
+        raise ArithmeticError("witness matrix is not Hermitian")
+    terms = []
+    for s, c in zip(strings, coeffs.real):
+        snapped = round(c * 64)
+        if abs(c - snapped / 64) > 1e-12:
+            terms.append((float(c), s))
+        elif snapped:
+            terms.append((Fraction(snapped, 64), s))
+    return tuple(terms)
+
+
+def reference_cover_problem(strings) -> tuple[list[int], list[list[int]]]:
+    """Per-setting masks over the strings in the given order, every candidate kept."""
+    strings = [s for s in strings if s != "IIII"]
+    masks = [0] * len(ALL_SETTINGS)
+    cand_for = []
+    for i, s in enumerate(strings):
+        axes = ("XYZ" if p == "I" else p for p in s)
+        candidates = [ALL_SETTINGS.index("".join(a)) for a in product(*axes)]
+        for j in candidates:
+            masks[j] |= 1 << i
+        cand_for.append(candidates)
+    return masks, cand_for
+
+
+def reference_best_cover(strings, bound=None):
+    """The smallest sorted cover of at most ``bound`` settings as axis strings, or None."""
+    masks, cand_for = reference_cover_problem(strings)
+    bound = len(cand_for) if bound is None else bound
+    universe = (1 << len(cand_for)) - 1
+    max_gain = max(m.bit_count() for m in masks)
+    best = None
+
+    def rec(covered: int, chosen: list[int]) -> None:
+        nonlocal best, bound
+        if covered == universe:
+            cover = tuple(sorted(chosen))
+            if best is None or (len(cover), cover) < (len(best), best):
+                best, bound = cover, len(cover)
+            return
+        remaining = (universe & ~covered).bit_count()
+        if len(chosen) + ceil(remaining / max_gain) > bound:
+            return
+        element = min(
+            (i for i in range(len(cand_for)) if not covered >> i & 1),
+            key=lambda i: len(cand_for[i]),
+        )
+        for j in cand_for[element]:
+            chosen.append(j)
+            rec(covered | masks[j], chosen)
+            chosen.pop()
+
+    rec(0, [])
+    return None if best is None else tuple(ALL_SETTINGS[j] for j in best)

@@ -17,6 +17,7 @@ from ruwitness.channels import (
     unitary_channel,
 )
 from ruwitness.choi import choi_of, max_entangled, overlap_direct
+from ruwitness import witness as witness_module
 from ruwitness.linalg import is_psd, kron
 from ruwitness.witness import (
     ALL_SETTINGS,
@@ -34,7 +35,7 @@ from ruwitness.witness import (
 )
 
 from golden import CNOT_TERMS, CZ_COVER, CZ_TERMS, KNOWN_CNOT_COVER
-from oracles import beta_search
+from oracles import beta_search, reference_best_cover, reference_decompose
 
 SQRT_SWAP = np.array(
     [
@@ -68,6 +69,26 @@ EXACT_BETA = {
 
 def _decomposition(*strings):
     return PauliDecomposition(tuple((Fraction(1, 16), s) for s in strings))
+
+
+def _assert_same_terms(got, reference):
+    """Fractions equal in value and type, floats within 1e-15, in the same order."""
+    assert [s for _, s in got] == [s for _, s in reference]
+    for (a, _), (b, _) in zip(got, reference):
+        assert type(a) is type(b)
+        if isinstance(a, Fraction):
+            assert a == b
+        else:
+            assert abs(a - b) <= 1e-15
+
+
+def _assert_same_covers(decomp):
+    """minimal_settings and cover_exists at its size and one below equal the reference search."""
+    strings = decomp.strings()
+    cover = minimal_settings(decomp)
+    assert cover == reference_best_cover(strings)
+    for size in (len(cover) - 1, len(cover)):
+        assert cover_exists(decomp, size) == (reference_best_cover(strings, size) is not None)
 
 
 def _single_qubit_cliffords():
@@ -168,6 +189,18 @@ class TestBeta:
         with pytest.raises(ValueError):
             beta_sru(np.ones((4, 4)))
 
+    def test_memo_is_keyed_on_shape_and_bytes(self):
+        cnot = gate_matrix("CNOT")
+        first = beta_sru(cnot)
+        assert first == pytest.approx(0.5, abs=1e-12)
+        assert beta_sru(SWAP) == pytest.approx(0.25, abs=1e-12)
+        assert beta_sru(cnot.astype(complex)) == first
+        with pytest.raises(ValueError):
+            beta_sru(cnot.reshape(16))  # same bytes, not a 4x4 unitary
+        with pytest.raises(ValueError):
+            beta_sru(cnot + 1e-6)
+        assert beta_sru(cnot) == first
+
 
 class TestBuildWitness:
     def test_cnot_self_expectation(self):
@@ -205,6 +238,19 @@ class TestBuildWitness:
         # beta = 0.437 < 1/2: the CNOT operator is negative on a product unitary
         with pytest.raises(ValueError, match="below the exact offset"):
             build_witness(gate_matrix("CNOT"), beta=0.437)
+
+    def test_checking_the_callers_beta_reuses_it(self):
+        u = haar_unitary(4, np.random.default_rng(19))
+        beta = beta_sru(u)
+        hits = witness_module._exact_beta.cache_info().hits
+        assert build_witness(u, beta).beta == beta
+        assert witness_module._exact_beta.cache_info().hits == hits + 1
+
+    def test_patched_beta_reaches_the_below_exact_check(self, monkeypatch):
+        monkeypatch.setattr(witness_module, "beta_sru", lambda u, *args, **kwargs: 0.7)
+        assert build_witness(gate_matrix("CNOT")).beta == 0.7
+        with pytest.raises(ValueError, match="below the exact offset"):
+            build_witness(gate_matrix("CNOT"), 0.6)
 
     def test_default_beta_is_exact(self):
         u = haar_unitary(4, np.random.default_rng(9))
@@ -282,6 +328,26 @@ class TestPauliDecompose:
         for _ in range(2):
             with pytest.raises(ArithmeticError):
                 pauli_decompose(w)
+
+    @pytest.mark.parametrize("name", list(EXACT_BETA))
+    def test_matches_reference_route(self, name):
+        u, _ = EXACT_BETA[name]
+        for beta in (None, 1.0):
+            w = build_witness(u, beta)
+            _assert_same_terms(pauli_decompose(w).terms, reference_decompose(w.matrix))
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10**6))
+    def test_matches_reference_route_on_haar(self, seed):
+        w = build_witness(haar_unitary(4, np.random.default_rng(seed)))
+        _assert_same_terms(pauli_decompose(w).terms, reference_decompose(w.matrix))
+
+    def test_non_hermitian_raises_like_reference(self):
+        matrix = np.triu(np.ones((16, 16)))
+        with pytest.raises(ArithmeticError):
+            reference_decompose(matrix)
+        with pytest.raises(ArithmeticError):
+            pauli_decompose(Witness(beta=0.5, unitary=np.eye(4), matrix=matrix))
 
     def test_near_rational_coefficient_stays_float(self):
         c = 1 / 64 + 5e-10
@@ -371,6 +437,42 @@ class TestMinimalSettings:
         assert minimal_settings(fresh) == cover
         assert isinstance(cover, tuple)
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.text("IXYZ", min_size=4, max_size=4), min_size=1, max_size=20))
+    def test_matches_reference_search(self, strings):
+        _assert_same_covers(_decomposition(*strings))
+
+    @pytest.mark.parametrize("name", ["CNOT", "CZ", "SWAP", "iSWAP"])
+    def test_matches_reference_search_on_dressed_gates(self, name):
+        cliffords = _single_qubit_cliffords()
+        u, _ = EXACT_BETA[name]
+        for k in range(24):  # every Clifford in every slot
+            a, b, c, d = (cliffords[(m * k + r) % 24] for m, r in ((1, 0), (7, 3), (11, 5), (13, 1)))
+            _assert_same_covers(pauli_decompose(build_witness(kron(a, b) @ u @ kron(c, d))))
+
+    @pytest.mark.parametrize("make", [
+        lambda: SQRT_SWAP,
+        lambda: haar_unitary(4, np.random.default_rng(5)),
+    ], ids=["sqrtSWAP", "haar"])
+    def test_matches_reference_search_on_generic_witnesses(self, make):
+        _assert_same_covers(pauli_decompose(build_witness(make())))
+
+    @pytest.mark.parametrize("first", ["minimal_settings", "cover_exists"])
+    def test_cover_problem_built_once_per_decomposition(self, monkeypatch, first):
+        built = []
+        real = witness_module._cover_problem
+        monkeypatch.setattr(witness_module, "_cover_problem", lambda d: built.append(d) or real(d))
+        decomp = PauliDecomposition(pauli_decompose(gate_witness("CZ")).terms)
+        if first == "cover_exists":
+            assert cover_exists(decomp, 9)
+        assert len(minimal_settings(decomp)) == 9
+        assert not cover_exists(decomp, 8)
+        assert cover_exists(decomp, 9)
+        assert built == [decomp]
+        other = PauliDecomposition(decomp.terms)
+        assert minimal_settings(other) == minimal_settings(decomp)
+        assert len(built) == 2 and built[1] is other
+
     def test_candidate_pool(self):
         assert len(ALL_SETTINGS) == 81
         assert setting_covers("XYZX", "XIZX")
@@ -414,8 +516,9 @@ def test_minimal_settings_runtime_budget():
     assert time.perf_counter() - t0 < 1.0
 
     # Generic witnesses: sqrt(SWAP) has 52 Pauli terms, a Haar-random
-    # unitary 226.  Both searches took about 2 s together on a 2-core
-    # x86-64 VM; the budget leaves four times that.
+    # unitary 226.  The searches below take about 0.45 s together on a
+    # 2-core x86-64 VM, nearly all of it sqrt(SWAP); the budget dates from
+    # when they took about 2 s.
     haar = haar_unitary(4, np.random.default_rng(5))
     generic = [
         pauli_decompose(build_witness(u, beta_sru(u, restarts=5, seed=0)))
