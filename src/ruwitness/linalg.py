@@ -125,8 +125,18 @@ def _validate_choi(m: np.ndarray, d: int, tol: float, lowest: float | None = Non
 
 @lru_cache(maxsize=4)
 def pauli_basis(n_qubits: int = 4) -> tuple[tuple[str, ...], np.ndarray]:
-    """All Pauli strings of a given length and their stacked matrices."""
-    strings = tuple(all_pauli_strings(n_qubits))
-    stack = np.stack([pauli_string_matrix(s) for s in strings])
+    """All Pauli strings of a given length and their stacked read-only matrices.
+
+    The stack is built by broadcasting, one outer product with the four
+    one-qubit Paulis per added qubit, in the order of
+    :func:`all_pauli_strings`; entry for entry it equals the Kronecker
+    product of each string's factors.
+    """
+    if n_qubits < 1:
+        raise ValueError("empty Pauli string")
+    stack = one = np.stack(list(PAULIS.values()))
+    for _ in range(n_qubits - 1):
+        d = stack.shape[1] * 2
+        stack = np.einsum("aij,bkl->abikjl", stack, one).reshape(-1, d, d)
     stack.setflags(write=False)
-    return strings, stack
+    return tuple(all_pauli_strings(n_qubits)), stack

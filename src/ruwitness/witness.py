@@ -35,7 +35,7 @@ from math import ceil
 
 import numpy as np
 
-from .channels import KrausChannel, gate_matrix, unitary_channel
+from .channels import KrausChannel, gate_matrix
 from .choi import choi_of
 from .linalg import pauli_basis, real_part
 
@@ -86,9 +86,11 @@ def build_witness(
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
     if beta < exact - 1e-12:
         raise ValueError(f"beta {beta!r} is below the exact offset {exact!r}")
+    # beta_sru has checked that u is a finite unitary, so its Choi state is the
+    # rank-one projector onto rowvec(U)/2, the expression choi_of evaluates
     u = np.asarray(u, dtype=complex)
-    c = choi_of(unitary_channel(u))
-    matrix = beta * np.eye(c.matrix.shape[0]) - c.matrix
+    v = u.reshape(1, 16) / 2
+    matrix = beta * np.eye(16) - np.einsum("ki,kj->ij", v, v.conj())
     return Witness(beta=float(beta), unitary=u, matrix=matrix, gate=gate)
 
 
@@ -122,8 +124,12 @@ def beta_sru(
 @lru_cache(maxsize=1)
 def _exact_beta(shape: tuple[int, ...], data: bytes) -> float:
     u = np.frombuffer(data, dtype=complex).reshape(shape)
-    if u.shape != (4, 4) or np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-10:
-        raise ValueError("beta_sru expects a 4x4 unitary")
+    if (
+        u.shape != (4, 4)
+        or not np.isfinite(u).all()
+        or not np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10  # NaN fails too
+    ):
+        raise ValueError("beta_sru expects a finite 4x4 unitary")
     ub = _MAGIC.conj().T @ u @ _MAGIC
     lam = np.sqrt(np.linalg.eigvals(ub.T @ ub))
     if (np.prod(lam) * np.conj(np.linalg.det(u))).real < 0:
@@ -143,13 +149,13 @@ class PauliDecomposition:
     terms: tuple[tuple[Fraction | float, str], ...]
 
     @cached_property
-    def _problem(self) -> tuple[list[int], list[list[int]]]:
+    def _problem(self) -> tuple[list[int], list[list[int]], int]:
         return _cover_problem(self)
 
     @cached_property
     def _cover(self) -> tuple[str, ...]:
-        masks, cand_for = self._problem
-        return tuple(ALL_SETTINGS[j] for j in best_cover(masks, cand_for, len(cand_for)))
+        masks, cand_for, max_gain = self._problem
+        return tuple(ALL_SETTINGS[j] for j in best_cover(masks, cand_for, max_gain, len(cand_for)))
 
     def coefficient(self, string: str) -> Fraction | float:
         for coeff, s in self.terms:
@@ -218,8 +224,9 @@ def setting_covers(setting: str, string: str) -> bool:
 _SETTING_INDEX = {s: j for j, s in enumerate(ALL_SETTINGS)}
 
 
-def _cover_problem(decomp: PauliDecomposition) -> tuple[list[int], list[list[int]]]:
-    """Per-setting bitmasks of covered strings, and each string's candidate settings.
+def _cover_problem(decomp: PauliDecomposition) -> tuple[list[int], list[list[int]], int]:
+    """Per-setting bitmasks of covered strings, each string's candidate settings
+    and the most strings one setting covers.
 
     Bits follow a stable sort by identity count, fewest candidates first;
     of settings with equal masks only the smallest index stays a candidate.
@@ -231,7 +238,8 @@ def _cover_problem(decomp: PauliDecomposition) -> tuple[list[int], list[list[int
         for j in c:
             masks[j] |= 1 << i
     first = {m: j for j, m in reversed(tuple(enumerate(masks)))}
-    return masks, [[j for j in c if first[masks[j]] == j] for c in candidates]
+    max_gain = max(m.bit_count() for m in masks)
+    return masks, [[j for j in c if first[masks[j]] == j] for c in candidates], max_gain
 
 
 @lru_cache(maxsize=None)
@@ -244,21 +252,21 @@ def _candidates(string: str) -> tuple[int, ...]:
 
 
 def best_cover(
-    masks: list[int], cand_for: list[list[int]], bound: int
+    masks: list[int], cand_for: list[list[int]], max_gain: int, bound: int
 ) -> tuple[int, ...] | None:
     """The smallest cover of at most ``bound`` settings, or None if there is none.
 
     Exhaustive branch-and-bound: branch on the lowest uncovered string,
     which has the fewest covering settings because :func:`_cover_problem`
     orders strings by identity count, and prune a branch only when even
-    covering ``max_gain`` strings per further setting would exceed
-    ``bound``.  Ties survive the pruning, so among minimum covers the
-    smallest sorted index tuple wins.  A setting whose mask repeats a
-    smaller index's is dropped: a minimum cover holds at most one of the
-    two, and swapping in the smaller index gives a smaller sorted tuple.
+    covering ``max_gain`` strings (the largest mask's bit count) per
+    further setting would exceed ``bound``.  Ties survive the pruning, so
+    among minimum covers the smallest sorted index tuple wins.  A setting
+    whose mask repeats a smaller index's is dropped: a minimum cover holds
+    at most one of the two, and swapping in the smaller index gives a
+    smaller sorted tuple.
     """
     universe = (1 << len(cand_for)) - 1
-    max_gain = max(m.bit_count() for m in masks)
     best: tuple[int, ...] | None = None
 
     def rec(covered: int, chosen: list[int]) -> None:

@@ -39,18 +39,22 @@ witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
 unitary, so it is a certified lower bound on the exact offset.
 
-``reference_decompose`` is the Pauli split as it was before it became one
-matrix-vector product: an einsum over the 256 strings and one Python
-``round`` per coefficient.  ``reference_best_cover`` is the set-cover search
-as it was before the strings were ordered by identity count and settings
-with equal masks collapsed: it branches on the uncovered string with the
-fewest candidates through ``min``.  Both are the references for
+``reference_pauli_basis`` stacks the Pauli strings as they were before the
+basis was built by broadcasting: one ``kron`` chain per string.  It is the
+reference for ``ruwitness.linalg.pauli_basis``.  ``reference_decompose`` is
+the Pauli split as it was before it became one matrix-vector product: an
+einsum over the 256 strings of that basis and one Python ``round`` per
+coefficient.  ``reference_best_cover`` is the set-cover search as it was
+before the strings were ordered by identity count and settings with equal
+masks collapsed: it branches on the uncovered string with the fewest
+candidates through ``min``.  These two are the references for
 ``ruwitness.witness``, which must return the same terms and the same
 lexicographically smallest minimum cover.
 """
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import ceil
 
@@ -59,7 +63,7 @@ from scipy.optimize import minimize
 
 from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unitary_channel
 from ruwitness.choi import choi_of
-from ruwitness.linalg import kron, pauli_basis
+from ruwitness.linalg import PAULIS, all_pauli_strings, kron
 from ruwitness.protocol import EstimateResult
 from ruwitness.robustness import SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
@@ -112,7 +116,7 @@ def _poly_product(a, b, mul):
 def gate_ptm_int(gate: str) -> np.ndarray:
     """R_ij = Tr[P_i U P_j U^dag] / 4, rounded to the signed permutation it is."""
     u = gate_matrix(gate)
-    _, p = pauli_basis(2)
+    _, p = reference_pauli_basis(2)
     r = np.einsum("iab,bc,jcd,ad->ij", p, u, p, u.conj()).real / 4
     r_int = np.rint(r).astype(np.int64)
     assert np.abs(r - r_int).max() < 1e-12
@@ -322,9 +326,18 @@ def beta_search(
     return float(-min(best.fun, refined.fun))
 
 
+@lru_cache(maxsize=None)
+def reference_pauli_basis(n_qubits: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """All n-qubit Pauli strings and their matrices, one ``kron`` chain per string."""
+    strings = tuple(all_pauli_strings(n_qubits))
+    stack = np.stack([kron(*(PAULIS[c] for c in s)) for s in strings])
+    stack.setflags(write=False)
+    return strings, stack
+
+
 def reference_decompose(matrix: np.ndarray) -> tuple:
     """Pauli terms of a witness matrix, coefficient by coefficient."""
-    strings, stack = pauli_basis(4)
+    strings, stack = reference_pauli_basis(4)
     coeffs = np.einsum("pij,ji->p", stack, matrix) / 16.0
     if np.max(np.abs(coeffs.imag)) > 1e-12:
         raise ArithmeticError("witness matrix is not Hermitian")

@@ -19,6 +19,8 @@ from ruwitness.linalg import (
     real_part,
 )
 
+from oracles import reference_pauli_basis
+
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
@@ -107,6 +109,19 @@ class TestPauliStrings:
     def test_invalid_label(self):
         with pytest.raises(ValueError):
             pauli_string_matrix("IXQZ")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_basis_equals_kron_reference(self, n):
+        strings, stack = pauli_basis(n)
+        ref_strings, ref_stack = reference_pauli_basis(n)
+        assert strings == ref_strings
+        assert stack.shape == ref_stack.shape == (4**n, 2**n, 2**n)
+        assert np.array_equal(stack, ref_stack)
+        assert not stack.flags.writeable
+
+    def test_basis_needs_a_qubit(self):
+        with pytest.raises(ValueError):
+            pauli_basis(0)
 
 
 class TestPsd:

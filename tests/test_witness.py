@@ -1,4 +1,5 @@
 import time
+import warnings
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from ruwitness.channels import (
 )
 from ruwitness.choi import choi_of, max_entangled, overlap_direct
 from ruwitness import witness as witness_module
-from ruwitness.linalg import is_psd, kron
+from ruwitness.linalg import _validate_choi, is_psd, kron
 from ruwitness.witness import (
     ALL_SETTINGS,
     PauliDecomposition,
@@ -189,6 +190,15 @@ class TestBeta:
         with pytest.raises(ValueError):
             beta_sru(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        u = gate_matrix("CNOT")
+        u[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="4x4 unitary"):
+                beta_sru(u)
+
     def test_memo_is_keyed_on_shape_and_bytes(self):
         cnot = gate_matrix("CNOT")
         first = beta_sru(cnot)
@@ -219,6 +229,32 @@ class TestBuildWitness:
         w = gate_witness("CNOT")
         c = choi_of(unitary_channel(gate_matrix("CNOT")))
         assert np.max(np.abs(w.matrix - (0.5 * np.eye(16) - c.matrix))) == 0.0
+        for name in ("CNOT", "CZ", "SWAP", "sqrtSWAP"):  # byte for byte, as the Kraus route
+            u, beta = EXACT_BETA[name]
+            expected = beta * np.eye(16) - choi_of(unitary_channel(u)).matrix
+            assert build_witness(u, beta).matrix.tobytes() == expected.tobytes()
+
+    def test_choi_state_is_the_kraus_routes_on_haar(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            u = haar_unitary(4, rng)
+            w = build_witness(u)
+            expected = w.beta * np.eye(16) - choi_of(unitary_channel(u)).matrix
+            assert w.matrix.tobytes() == expected.tobytes()
+
+    def test_rank_one_choi_state_is_valid(self):
+        rng = np.random.default_rng(29)
+        for u in [gate_matrix("CNOT"), SQRT_SWAP] + [haar_unitary(4, rng) for _ in range(10)]:
+            w = build_witness(u, 1.0)
+            _validate_choi(np.eye(16) - w.matrix, 4, 1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("beta", [None, 0.5])
+    def test_rejects_non_finite(self, bad, beta):
+        u = gate_matrix("CZ")
+        u[3, 0] = bad
+        with pytest.raises(ValueError, match="4x4 unitary"):
+            build_witness(u, beta)
 
     def test_gate_witness_is_built_once_per_gate(self):
         w = gate_witness("cnot")
@@ -341,6 +377,14 @@ class TestPauliDecompose:
     def test_matches_reference_route_on_haar(self, seed):
         w = build_witness(haar_unitary(4, np.random.default_rng(seed)))
         _assert_same_terms(pauli_decompose(w).terms, reference_decompose(w.matrix))
+
+    def test_matches_reference_route_on_dressed_sqrt_swap(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            w = build_witness(_local(rng) @ SQRT_SWAP @ _local(rng))
+            terms = pauli_decompose(w).terms
+            assert any(isinstance(coeff, float) for coeff, _ in terms)
+            _assert_same_terms(terms, reference_decompose(w.matrix))
 
     def test_non_hermitian_raises_like_reference(self):
         matrix = np.triu(np.ones((16, 16)))
