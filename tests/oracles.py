@@ -21,6 +21,11 @@ from the Pauli-transfer-matrix composition in exact integer arithmetic.  It
 certifies ``ruwitness.robustness._slice_polynomial``, which restricts the
 integer table of the closed form to the slice.
 
+``sympy_crossings`` is ``ruwitness.robustness._crossings`` from sympy's
+``real_roots``: the odd-multiplicity roots in [0, 1], evaluated to 50 digits
+and rounded to the nearest float.  It is the reference for the integer Sturm
+chain and its certified, correctly rounded roots.
+
 ``hand_closed_form`` holds the eight witness expectations as they were
 transcribed by hand before ``ruwitness.robustness`` derived them from one
 PTM formula as integer tables.  The tests expand it in sympy and require
@@ -59,6 +64,7 @@ from itertools import product
 from math import ceil
 
 import numpy as np
+import sympy
 from scipy.optimize import minimize
 
 from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unitary_channel
@@ -138,6 +144,18 @@ def ptm_slice_polynomial(gate: str, kind: str, mode: str) -> list[int]:
     coeffs = [-int(np.sum(r_u * m)) for m in r_m]
     coeffs[0] += 8
     return coeffs
+
+
+def sympy_crossings(coeffs: list[int]) -> list[float]:
+    """The float nearest each odd-multiplicity root in [0, 1] of the integer polynomial
+    with ``coeffs`` (lowest first), ascending; exact roots are rounded directly."""
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
+    out = []
+    for root, multiplicity in sympy.real_roots(poly, multiple=False):
+        if multiplicity % 2 and 0 <= root <= 1:
+            value = root if root.is_Rational else sympy.Rational(sympy.N(root, 50))
+            out.append(int(value.p) / int(value.q))  # int division rounds to nearest
+    return sorted(out)
 
 
 def hand_closed_form(name: str, kind: str, q1, q2, sqrt):

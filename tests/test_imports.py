@@ -19,7 +19,7 @@ def test_import_loads_no_scipy():
 
 
 def test_thresholds_load_no_scipy_or_sympy():
-    """Exact thresholds need only numpy and the standard library's fractions."""
+    """Exact thresholds need only Python integers: no scipy, sympy or numpy.polynomial."""
     code = (
         "import sys, ruwitness\n"
         "from ruwitness.robustness import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold\n"
@@ -27,6 +27,7 @@ def test_thresholds_load_no_scipy_or_sympy():
         "    for kind in NOISE_KINDS:\n"
         "        for mode in THRESHOLD_MODES:\n"
         "            threshold(gate, kind, mode)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')\n"
+        "             or m.startswith('numpy.polynomial')))"
     )
     assert _fresh_interpreter(code) == "[]"

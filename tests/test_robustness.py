@@ -1,6 +1,8 @@
 import io
 import itertools
 import math
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -50,10 +52,42 @@ from oracles import (
     ptm_slice_polynomial,
     reference_sweep_rows,
     reference_sweep_texts,
+    sympy_crossings,
 )
 
 ALL_COMBOS = [(g, k) for g in GATE_NAMES for k in NOISE_KINDS]
 ALL_SLICES = [(g, k, m) for g, k in ALL_COMBOS for m in THRESHOLD_MODES]
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _power(factor: list[int], k: int) -> list[int]:
+    return reduce(_poly_mul, [factor] * k, [1])
+
+
+_fraction = st.integers(1, 60).flatmap(lambda d: st.tuples(st.integers(0, d), st.just(d)))
+# integer factors, lowest coefficient first, that plant the root patterns a Sturm count must
+# get right: a sign change at n/d, a tangent root (not a crossing), a triple root, two roots
+# 1/1000 apart, roots at 0 and 1 with multiplicity, roots outside [0, 1], and quadratics
+# with no rational root (complex roots, or two irrational ones)
+PLANTED_FACTORS = st.one_of(
+    _fraction.map(lambda f: [-f[0], f[1]]),
+    _fraction.map(lambda f: _power([-f[0], f[1]], 2)),
+    _fraction.map(lambda f: _power([-f[0], f[1]], 3)),
+    st.integers(0, 999).map(lambda k: _poly_mul([-k, 1000], [-k - 1, 1000])),
+    st.tuples(st.sampled_from([[0, 1], [-1, 1]]), st.integers(1, 4)).map(lambda t: _power(*t)),
+    st.tuples(st.integers(1, 20), st.integers(1, 20)).map(lambda t: [-t[0] - t[1], t[1]]),
+    st.tuples(st.integers(1, 20), st.integers(1, 20)).map(lambda t: [t[0], t[1]]),
+    st.tuples(st.integers(1, 9), st.integers(-20, 20), st.integers(-20, 20))
+    .filter(lambda t: math.isqrt(max(0, d := t[1] ** 2 - 4 * t[0] * t[2])) ** 2 != d)
+    .map(lambda t: [t[2], t[1], t[0]]),
+)
 # the grids of TestSweep::test_matches_per_point_reference
 SWEEP_GRIDS = (2, 3, 11, 21, 31, 41, 51, 61, 81, 101, 201)
 
@@ -300,10 +334,34 @@ class TestThreshold:
         assert _crossings([1, 0, 2]) == []  # 2x^2 + 1
 
     def test_scan_finds_multiple_crossings(self):
-        # (1000x - 499)(1000x - 501): two roots 0.002 apart
-        roots = _crossings([499 * 501, -1000 * 1000, 1000 * 1000])
-        assert roots == pytest.approx([0.499, 0.501], abs=1e-12)
-        assert _crossings([3, -10]) == [pytest.approx(0.3, abs=1e-15)]
+        # (1000x - 499)(1000x - 501): two roots 0.002 apart, each the float nearest to it
+        assert _crossings([499 * 501, -10**6, 10**6]) == [0.499, 0.501]
+        assert _crossings([3, -10]) == [0.3]
+
+    @pytest.mark.parametrize("gate,kind,mode", ALL_SLICES)
+    def test_roots_are_the_correctly_rounded_sympy_roots(self, gate, kind, mode):
+        roots = sympy_crossings(ptm_slice_polynomial(gate, kind, mode))
+        if kind == "amplitude_damping":
+            roots = sorted(1 - s * s for s in roots)
+        assert threshold(gate, kind, mode) == roots
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(PLANTED_FACTORS, min_size=1, max_size=4), st.sampled_from([-3, -1, 1, 2]))
+    def test_crossings_match_sympy_on_planted_factors(self, factors, scale):
+        coeffs = reduce(_poly_mul, factors, [scale])
+        assert _crossings(coeffs) == sympy_crossings(coeffs)
+
+    def test_roots_closer_than_a_float_and_exact_ties(self):
+        def with_roots(*offsets):  # roots 1/2 + offset, where floats are 2^-53 apart
+            return reduce(_poly_mul, ([-r.numerator, r.denominator] for r in (Fraction(1, 2) + o for o in offsets)))
+
+        assert _crossings(with_roots(Fraction(1, 2**62), Fraction(3, 2**62))) == [0.5, 0.5]
+        # either side of the midpoint between 0.5 and the next float
+        straddle = with_roots(Fraction(1, 2**54) - Fraction(1, 2**70), Fraction(1, 2**54) + Fraction(1, 2**70))
+        assert _crossings(straddle) == [0.5, 0.5 + 2.0**-53]
+        # exact ties round to the float with the even last bit
+        assert _crossings(with_roots(Fraction(1, 2**54))) == [0.5]
+        assert _crossings(with_roots(Fraction(3, 2**54))) == [0.5 + 2.0**-52]
 
     @pytest.mark.parametrize("coeffs", [[0], [], [0, 0]])
     def test_zero_polynomial_raises(self, coeffs):
@@ -330,7 +388,7 @@ class TestThreshold:
     @pytest.mark.parametrize("gate,kind,mode", ALL_SLICES)
     def test_slice_polynomial_matches_ptm_certificate(self, gate, kind, mode):
         exact = ptm_slice_polynomial(gate, kind, mode)
-        recovered = _slice_polynomial(gate, kind, mode).tolist()
+        recovered = _slice_polynomial(gate, kind, mode)
         assert len(recovered) >= len(exact)
         assert recovered == exact + [0] * (len(recovered) - len(exact))
 
