@@ -4,17 +4,17 @@
 Each row shows the exact roots of the closed-form witness expectation
 along the pre-only, post-only and equal-strength noise slices.  Below the
 table, the radical forms of the analytically solvable roots are listed for
-comparison.
+comparison.  The ``--json`` file lists one record per slice, each the
+object that ``ruwitness threshold --out`` writes for that slice.
 
 Usage: python scripts/threshold_table.py [--json out.json]
 """
 
 import argparse
-import json
 import math
 
-from ruwitness.robustness import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold
-from ruwitness.serialize import fmt12
+from ruwitness.robustness import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold, threshold_json_obj
+from ruwitness.serialize import dumps, fmt12
 
 EXACT_FORMS = [
     ("depolarising before/after", "(4 - 2*sqrt(2))/3", (4 - 2 * math.sqrt(2)) / 3),
@@ -41,9 +41,7 @@ def main() -> int:
                 roots = threshold(gate, kind, mode)
                 shown = "  ".join(fmt12(r) for r in roots) or "(none)"
                 print(f"{gate:<6} {kind:<18} {mode:<12} {shown}")
-                records.append(
-                    {"gate": gate, "noise": kind, "mode": mode, "roots": roots}
-                )
+                records.append(threshold_json_obj(gate, kind, mode, roots))
 
     print("\nexact radical forms:")
     for label, form, value in EXACT_FORMS:
@@ -51,8 +49,7 @@ def main() -> int:
 
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(dumps(records))
         print(f"\nwrote {args.json}")
     return 0
 

@@ -12,8 +12,6 @@ from .channels import (
     amplitude_damping,
     apply,
     bit_flip,
-    channel_from_json_obj,
-    channel_to_json_obj,
     compose,
     dephasing,
     depolarising,
@@ -21,40 +19,26 @@ from .channels import (
     haar_unitary,
     identity_channel,
     pauli_channel,
-    sample_channel,
     sample_sru,
     tensor,
     unitary_channel,
     validate_cpt,
 )
-from .choi import (
-    ChoiState,
-    apply_via_choi,
-    choi_of,
-    max_entangled,
-    overlap_basis,
-    overlap_direct,
-    overlap_kraus,
-    permute_qubits,
-    purity,
-)
+from .choi import ChoiState, choi_of
 from .linalg import (
     DEFAULT_TOL,
     PAULIS,
     all_pauli_strings,
-    hs_inner,
     is_hermitian,
     is_psd,
     kron,
     partial_trace,
-    pauli_string_matrix,
 )
 from .protocol import (
     EstimateResult,
     ShotPlan,
     estimate_expectation,
     estimate_expectation_exact,
-    setting_distribution,
 )
 from .robustness import (
     GATE_NAMES,
@@ -74,7 +58,6 @@ from .witness import (
     build_witness,
     cover_exists,
     expectation,
-    expectation_via_choi,
     minimal_settings,
     gate_witness,
     pauli_decompose,
@@ -96,12 +79,9 @@ __all__ = [
     "all_pauli_strings",
     "amplitude_damping",
     "apply",
-    "apply_via_choi",
     "beta_sru",
     "bit_flip",
     "build_witness",
-    "channel_from_json_obj",
-    "channel_to_json_obj",
     "choi_of",
     "closed_form",
     "compose",
@@ -111,31 +91,20 @@ __all__ = [
     "estimate_expectation",
     "estimate_expectation_exact",
     "expectation",
-    "expectation_via_choi",
     "gate_matrix",
     "haar_unitary",
-    "hs_inner",
     "identity_channel",
     "is_hermitian",
     "is_psd",
     "kron",
-    "max_entangled",
     "minimal_settings",
     "noisy_gate",
     "numeric_expectation",
-    "overlap_basis",
-    "overlap_direct",
-    "overlap_kraus",
     "gate_witness",
     "partial_trace",
     "pauli_channel",
     "pauli_decompose",
-    "pauli_string_matrix",
-    "permute_qubits",
-    "purity",
-    "sample_channel",
     "sample_sru",
-    "setting_distribution",
     "sweep",
     "tensor",
     "threshold",

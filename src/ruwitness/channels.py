@@ -6,8 +6,7 @@ with ``sum_k A_k^dag A_k = 1``; every function here reads that array whole,
 with no loop over operators.  This module provides the gate set used by the
 witness construction, the four standard single-qubit noise models, channel
 algebra (tensoring, sequential composition, application to density
-matrices) and seeded samplers for separable random-unitary and generic
-random channels.
+matrices) and a seeded sampler for separable random-unitary channels.
 
 Conventions
 -----------
@@ -177,17 +176,12 @@ def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     return KrausChannel(d, (after.kraus[:, None] @ before.kraus).reshape(-1, d, d))
 
 
-def _ptm(ch: KrausChannel) -> np.ndarray:
-    """Pauli transfer matrix R_ij = Tr[P_i M(P_j)] / d of a one- or two-qubit channel."""
-    _, paulis = pauli_basis(ch.dim.bit_length() - 1)
-    k, flat = ch.kraus, paulis.reshape(len(paulis), -1)
-    superop = np.einsum("kab,kcd->acbd", k, k.conj()).reshape(len(paulis), -1)  # sum A ⊗ conj(A)
-    return (flat.conj() @ superop @ flat.T).real / ch.dim
-
-
 @lru_cache(maxsize=None)
 def _gate_ptm(name: str) -> np.ndarray:
-    r = _ptm(unitary_channel(gate_matrix(name)))
+    """Pauli transfer matrix R_ij = Tr[P_i U P_j U^dag] / 4 of a named two-qubit gate."""
+    u = gate_matrix(name)
+    _, p = pauli_basis(2)
+    r = np.einsum("iab,bc,jcd,ad->ij", p, u, p, u.conj()).real / 4
     r.setflags(write=False)
     return r
 
@@ -215,11 +209,6 @@ def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausCh
     return ch
 
 
-def _apply(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
-    """sum_k A_k mat A_k^dag without density-matrix validation."""
-    return np.einsum("kij,jl,kml->im", ch.kraus, mat, ch.kraus.conj())
-
-
 def apply(ch: KrausChannel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply the channel to a density matrix."""
     rho = np.asarray(rho, dtype=complex)
@@ -227,7 +216,7 @@ def apply(ch: KrausChannel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
         raise ValueError(f"state shape {rho.shape} does not match channel dim {ch.dim}")
     if not is_density_matrix(rho, tol):
         raise ValueError("input is not a valid density matrix")
-    return _apply(ch, rho)
+    return np.einsum("kij,jl,kml->im", ch.kraus, rho, ch.kraus.conj())  # sum_k A_k rho A_k^dag
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,35 +243,3 @@ def sample_sru(terms: int, seed: int = 0) -> KrausChannel:
         np.sqrt(p) * np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) for p in probs
     )
     return KrausChannel(4, kraus)
-
-
-def sample_channel(dim: int, terms: int, seed: int = 0) -> KrausChannel:
-    """Random CPT channel: Gaussian Kraus stack normalised through S^{-1/2}.
-
-    Mainly a test utility; covers channels far outside the random-unitary
-    set, unlike :func:`sample_sru`.
-    """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((terms, dim, dim)) + 1j * rng.standard_normal((terms, dim, dim))) / _SQRT2
-    s = np.einsum("kji,kjl->il", g.conj(), g)  # sum_k G^dag G
-    w, v = np.linalg.eigh(s)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return KrausChannel(dim, g @ inv_sqrt)
-
-
-def channel_to_json_obj(ch: KrausChannel) -> dict:
-    """JSON form: {"dim": n, "kraus": [[[re, im], ...] ...]}, row-major entries."""
-    return {
-        "dim": ch.dim,
-        "kraus": [
-            [[float(z.real), float(z.imag)] for z in a.ravel()] for a in ch.kraus
-        ],
-    }
-
-
-def channel_from_json_obj(obj: dict) -> KrausChannel:
-    dim = int(obj["dim"])
-    pairs = np.array(obj["kraus"], dtype=float)  # (n, dim * dim, 2): [re, im] per entry
-    return KrausChannel(dim, pairs.view(complex).reshape(len(pairs), dim, dim))

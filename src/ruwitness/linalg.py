@@ -38,34 +38,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dag b]."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.einsum("ij,ij->", a.conj(), b))
-
-
-def real_part(z: complex, tol: float = 1e-12) -> float:
-    """Collapse a should-be-real complex number, guarding the imaginary part."""
-    z = complex(z)
-    if abs(z.imag) >= tol:
-        raise ArithmeticError(f"expected a real value, got imaginary part {z.imag!r}")
-    return float(z.real)
-
-
-def pauli_string_matrix(labels: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. ``"IXIX"`` -> I⊗X⊗I⊗X."""
-    try:
-        mats = [PAULIS[c] for c in labels]
-    except KeyError as exc:
-        raise ValueError(f"invalid Pauli label {exc.args[0]!r} in {labels!r}") from None
-    if not mats:
-        raise ValueError("empty Pauli string")
-    return kron(*mats)
-
-
 def all_pauli_strings(n_qubits: int = 4) -> Iterator[str]:
     """All n-qubit Pauli strings in lexicographic order (IIII first)."""
     for labels in product("IXYZ", repeat=n_qubits):

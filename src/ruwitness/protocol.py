@@ -89,16 +89,6 @@ class EstimateResult:
         return self.estimate < 0
 
 
-def setting_distribution(ch: KrausChannel, setting: str) -> np.ndarray:
-    """Born probabilities of the 16 joint outcomes for one setting.
-
-    Outcome index bits follow the qubit order A, B, C, D (big-endian);
-    bit 0 means eigenvalue +1, bit 1 means -1.
-    """
-    rotations = _rotations((setting,))
-    return _born_vectors(ch, rotations, rotations.conj().transpose(0, 2, 1))[0]
-
-
 def _rotations(settings: tuple[str, ...]) -> np.ndarray:
     """Stacked (n, 16, 16) rotations whose columns are the outcome eigenvectors."""
     for setting in settings:

@@ -36,8 +36,7 @@ from math import ceil
 import numpy as np
 
 from .channels import KrausChannel, gate_matrix
-from .choi import choi_of
-from .linalg import pauli_basis, real_part
+from .linalg import pauli_basis
 
 GATE_NAMES = ("CNOT", "CZ")
 IDENTITY_STRING = "IIII"
@@ -315,9 +314,3 @@ def expectation(w: Witness, m: KrausChannel) -> float:
         raise ValueError(f"channel must act on dimension 4, got {m.dim}")
     t = np.einsum("kij,ij->k", m.kraus, w.unitary.conj())
     return float(w.beta - np.sum(t.real**2 + t.imag**2) / 16.0)
-
-
-def expectation_via_choi(w: Witness, m: KrausChannel) -> float:
-    """Same expectation through the explicit Choi matrix (cross-check route)."""
-    c = choi_of(m)
-    return real_part(np.einsum("ij,ji->", w.matrix, c.matrix), tol=1e-9)

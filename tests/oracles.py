@@ -16,6 +16,12 @@ measurement plan: it decomposes the witness, assigns terms and builds each
 setting's rotation with ``kron`` on every call.  It is the reference for
 ``ruwitness.protocol``, which compiles all of that once per witness.
 
+``kraus_ptm`` is the Pauli transfer matrix of a channel from its Kraus
+operators, through the superoperator sum_k A_k ⊗ conj(A_k).  It is the
+reference for the integer noise PTM tables of ``ruwitness.robustness``;
+``gate_ptm_int`` is the reference for the gate PTM ``ruwitness.channels``
+forms from its formula.
+
 ``ptm_slice_polynomial`` is the integer polynomial of a threshold slice
 from the Pauli-transfer-matrix composition in exact integer arithmetic.  It
 certifies ``ruwitness.robustness._slice_polynomial``, which restricts the
@@ -44,6 +50,18 @@ witness offset before the closed form in ``ruwitness.witness.beta_sru``
 replaced it.  Every value it returns is the overlap of an actual product
 unitary, so it is a certified lower bound on the exact offset.
 
+The Choi-state cross-check routes live here, since nothing in the
+pipeline runs them.  ``overlap_direct``, ``overlap_kraus``
+and ``overlap_basis`` compute the channel overlap Tr[C_M C_L] three ways:
+the trace of the product of the two Choi matrices, (1/d^2) sum_{k,l}
+|Tr[A_k^dag B_l]|^2 over Kraus operators, and (1/d^2) sum_{i,j}
+Tr[M(|i><j|) L(|j><i|)] over matrix-unit images.  ``apply_via_choi`` reads
+the channel action off the Choi state, ``expectation_via_choi`` the witness
+expectation, and ``setting_distribution`` the Born probabilities of one
+local setting.  ``permute_qubits`` reorders tensor factors, which shows the
+AC|BD factorisation of ``max_entangled(4)``; ``sample_channel`` draws
+generic CPT channels far outside the random-unitary set.
+
 ``reference_pauli_basis`` stacks the Pauli strings as they were before the
 basis was built by broadcasting: one ``kron`` chain per string.  It is the
 reference for ``ruwitness.linalg.pauli_basis``.  ``reference_decompose`` is
@@ -69,8 +87,8 @@ from scipy.optimize import minimize
 
 from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unitary_channel
 from ruwitness.choi import choi_of
-from ruwitness.linalg import PAULIS, all_pauli_strings, kron
-from ruwitness.protocol import EstimateResult
+from ruwitness.linalg import PAULIS, all_pauli_strings, kron, partial_trace
+from ruwitness.protocol import EstimateResult, _born_vectors, _rotations
 from ruwitness.robustness import SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
 from ruwitness.witness import ALL_SETTINGS, minimal_settings, pauli_decompose, setting_covers
@@ -117,6 +135,14 @@ def _poly_product(a, b, mul):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + mul(x, y)
     return out
+
+
+def kraus_ptm(ch: KrausChannel) -> np.ndarray:
+    """R_ij = Tr[P_i M(P_j)] / d of a one- or two-qubit channel, from its superoperator."""
+    _, paulis = reference_pauli_basis(ch.dim.bit_length() - 1)
+    k, flat = ch.kraus, paulis.reshape(len(paulis), -1)
+    superop = np.einsum("kab,kcd->acbd", k, k.conj()).reshape(len(paulis), -1)  # sum A ⊗ conj(A)
+    return (flat.conj() @ superop @ flat.T).real / ch.dim
 
 
 def gate_ptm_int(gate: str) -> np.ndarray:
@@ -412,3 +438,124 @@ def reference_best_cover(strings, bound=None):
 
     rec(0, [])
     return None if best is None else tuple(ALL_SETTINGS[j] for j in best)
+
+
+def real_part(z: complex, tol: float = 1e-12) -> float:
+    """Collapse a should-be-real complex number, guarding the imaginary part."""
+    z = complex(z)
+    if abs(z.imag) >= tol:
+        raise ArithmeticError(f"expected a real value, got imaginary part {z.imag!r}")
+    return float(z.real)
+
+
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Hilbert-Schmidt inner product Tr[a^dag b]."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return complex(np.einsum("ij,ij->", a.conj(), b))
+
+
+def max_entangled(d: int) -> np.ndarray:
+    """Unit vector (1/sqrt d) sum_k |k>|k> on a d*d space."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    v = np.zeros(d * d, dtype=complex)
+    v[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
+    return v
+
+
+def purity(c) -> float:
+    """Tr[C^2] of a Choi state; equals 1 exactly when the channel is unitary."""
+    return real_part(np.einsum("ij,ji->", c.matrix, c.matrix), tol=1e-9)
+
+
+def permute_qubits(state: np.ndarray, perm) -> np.ndarray:
+    """Reorder the tensor factors of a 2^n vector or 2^n x 2^n matrix.
+
+    ``perm[k]`` names the original qubit that ends up at position k; e.g.
+    ``perm=(0, 2, 1, 3)`` maps the A,B,C,D ordering to A,C,B,D, under which
+    the d=4 maximally entangled vector factorises into two Bell pairs.
+    """
+    perm = tuple(perm)
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{perm!r} is not a permutation of 0..{n - 1}")
+    state = np.asarray(state)
+    if state.ndim == 1:
+        return state.reshape([2] * n).transpose(perm).reshape(-1)
+    if state.ndim == 2:
+        axes = list(perm) + [n + p for p in perm]
+        return state.reshape([2] * (2 * n)).transpose(axes).reshape(state.shape)
+    raise ValueError("state must be a vector or a square matrix")
+
+
+def overlap_direct(c1, c2) -> float:
+    """Tr[C1 C2] for two Choi states (real since both are Hermitian PSD)."""
+    if c1.dim_in != c2.dim_in:
+        raise ValueError(f"dimension mismatch: {c1.dim_in} vs {c2.dim_in}")
+    return real_part(hs_inner(c1.matrix, c2.matrix))
+
+
+def overlap_kraus(m: KrausChannel, l: KrausChannel) -> float:
+    """Tr[C_M C_L] from Kraus operators: (1/d^2) sum_{k,l} |Tr[A_k^dag B_l]|^2."""
+    if m.dim != l.dim:
+        raise ValueError(f"dimension mismatch: {m.dim} vs {l.dim}")
+    t = np.einsum("kij,lij->kl", m.kraus.conj(), l.kraus)
+    return float(np.sum(t.real**2 + t.imag**2) / m.dim**2)
+
+
+def _kraus_image(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
+    """sum_k A_k mat A_k^dag for any matrix, not only a density matrix."""
+    return np.einsum("kij,jl,kml->im", ch.kraus, mat, ch.kraus.conj())
+
+
+def overlap_basis(m: KrausChannel, l: KrausChannel) -> float:
+    """Tr[C_M C_L] from matrix-unit images: (1/d^2) sum_ij Tr[M(|i><j|) L(|j><i|)]."""
+    if m.dim != l.dim:
+        raise ValueError(f"dimension mismatch: {m.dim} vs {l.dim}")
+    d = m.dim
+    total = 0.0 + 0.0j
+    for i in range(d):
+        for j in range(d):
+            e_ij = np.zeros((d, d), dtype=complex)
+            e_ij[i, j] = 1.0
+            total += np.trace(_kraus_image(m, e_ij) @ _kraus_image(l, e_ij.T))
+    return real_part(total / d**2)
+
+
+def apply_via_choi(c, rho: np.ndarray) -> np.ndarray:
+    """M(rho) = d * Tr_2[ C_M (1 ⊗ rho^T) ], the inverse direction of the isomorphism."""
+    d = c.dim_in
+    rho = np.asarray(rho, dtype=complex)
+    m = c.matrix @ np.kron(np.eye(d), rho.T)
+    return d * partial_trace(m, (d, d), keep=0)
+
+
+def expectation_via_choi(w, m: KrausChannel) -> float:
+    """Tr[W C_M] through the explicit Choi matrix."""
+    c = choi_of(m)
+    return real_part(np.einsum("ij,ji->", w.matrix, c.matrix), tol=1e-9)
+
+
+def sample_channel(dim: int, terms: int, seed: int = 0) -> KrausChannel:
+    """Random CPT channel: Gaussian Kraus stack normalised through S^{-1/2}."""
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((terms, dim, dim)) + 1j * rng.standard_normal((terms, dim, dim))) / np.sqrt(2.0)
+    s = np.einsum("kji,kjl->il", g.conj(), g)  # sum_k G^dag G
+    w, v = np.linalg.eigh(s)
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    return KrausChannel(dim, g @ inv_sqrt)
+
+
+def setting_distribution(ch: KrausChannel, setting: str) -> np.ndarray:
+    """Born probabilities of the 16 joint outcomes of one setting, as the estimator reads them.
+
+    Outcome index bits follow the qubit order A, B, C, D (big-endian);
+    bit 0 means eigenvalue +1, bit 1 means -1.
+    """
+    rotations = _rotations((setting,))
+    return _born_vectors(ch, rotations, rotations.conj().transpose(0, 2, 1))[0]

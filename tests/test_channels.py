@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from ruwitness.channels import (
     amplitude_damping,
     apply,
     bit_flip,
-    channel_from_json_obj,
-    channel_to_json_obj,
     compose,
     dephasing,
     depolarising,
@@ -21,7 +18,6 @@ from ruwitness.channels import (
     haar_unitary,
     identity_channel,
     pauli_channel,
-    sample_channel,
     sample_sru,
     tensor,
     unitary_channel,
@@ -30,7 +26,7 @@ from ruwitness.channels import (
 from ruwitness.choi import choi_of
 from ruwitness.linalg import PAULI_X, PAULI_Z
 
-from oracles import loop_compose, loop_tensor
+from oracles import loop_compose, loop_tensor, sample_channel
 
 
 def choi_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-12) -> bool:
@@ -115,18 +111,15 @@ class TestKrausArray:
         with pytest.raises(ValueError):
             KrausChannel(2, ops)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("value", [
+        np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, np.nan), complex(0.0, -np.inf),
+    ])
     def test_non_finite_rejected(self, value):
         a = np.eye(2, dtype=complex)
         a[0, 1] = value
-        with pytest.raises(ValueError):
-            KrausChannel(2, (a,))
-
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_rejected_from_json(self, text):
-        obj = json.loads(f'{{"dim": 2, "kraus": [[[1, 0], [{text}, 0], [0, 0], [1, 0]]]}}')
-        with pytest.raises(ValueError):
-            channel_from_json_obj(obj)
+        for ops in ((a,), np.array([np.eye(2), a]), [np.eye(2).tolist(), a.tolist()]):
+            with pytest.raises(ValueError, match="finite"):
+                KrausChannel(2, ops)
 
 
 class TestPauliChannel:
@@ -279,22 +272,3 @@ class TestSampling:
     def test_haar_unitary_is_unitary(self, rng):
         u = haar_unitary(2, rng)
         assert np.allclose(u.conj().T @ u, np.eye(2))
-
-
-class TestJson:
-    def test_round_trip(self):
-        for ch in (tensor(depolarising(0.35), amplitude_damping(0.2)), sample_channel(2, 3, seed=4)):
-            back = channel_from_json_obj(json.loads(json.dumps(channel_to_json_obj(ch))))
-            assert back.dim == ch.dim
-            assert np.array_equal(ch.kraus, back.kraus)
-
-    def test_golden_dephasing(self):
-        obj = channel_to_json_obj(dephasing(0.25))
-        s75, s25 = math.sqrt(0.75), math.sqrt(0.25)
-        assert obj == {
-            "dim": 2,
-            "kraus": [
-                [[s75, 0.0], [0.0, 0.0], [0.0, 0.0], [s75, 0.0]],
-                [[s25, 0.0], [0.0, 0.0], [0.0, 0.0], [-s25, 0.0]],
-            ],
-        }

@@ -1,3 +1,10 @@
+"""Choi states, and the cross-check routes of ``tests/oracles.py`` that read them.
+
+``TestSelftestCrossChecks`` holds the two invariants that ``ruwitness
+selftest`` ran while these routes lived in the package, with the same
+fixed inputs and tolerances.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,27 +13,28 @@ from hypothesis import strategies as st
 from conftest import random_density
 from ruwitness.channels import (
     KrausChannel,
+    apply,
     dephasing,
     depolarising,
     gate_matrix,
     identity_channel,
-    sample_channel,
     sample_sru,
     tensor,
     unitary_channel,
 )
-from ruwitness.choi import (
+from ruwitness.choi import choi_of
+from ruwitness.linalg import PAULIS, partial_trace
+
+from oracles import (
     apply_via_choi,
-    choi_of,
     max_entangled,
     overlap_basis,
     overlap_direct,
     overlap_kraus,
     permute_qubits,
     purity,
+    sample_channel,
 )
-from ruwitness.linalg import PAULIS, partial_trace
-from ruwitness.channels import apply
 
 
 class TestMaxEntangled:
@@ -186,3 +194,24 @@ class TestChoiReconstruction:
         ch = tensor(depolarising(0.3), depolarising(0.3))
         rho = random_density(4, seed=77)
         assert np.allclose(apply(ch, rho), apply_via_choi(choi_of(ch), rho))
+
+
+class TestSelftestCrossChecks:
+    def test_three_way_overlap_equivalence(self):
+        for index in range(100):
+            dim = 2 if index < 50 else 4
+            m = sample_channel(dim, 1 + index % 4, seed=index)
+            l = sample_channel(dim, 1 + (index + 2) % 4, seed=index + 5000)
+            direct = overlap_direct(choi_of(m), choi_of(l))
+            kraus = overlap_kraus(m, l)
+            basis = overlap_basis(m, l)
+            assert max(abs(direct - kraus), abs(kraus - basis), abs(direct - basis)) < 1e-10, index
+
+    def test_kraus_application_matches_choi_reconstruction(self):
+        rng = np.random.default_rng(11)
+        for seed in range(10):
+            ch = sample_channel(4, 3, seed=seed)
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho)
+            assert np.max(np.abs(apply(ch, rho) - apply_via_choi(choi_of(ch), rho))) < 1e-10, seed

@@ -18,7 +18,6 @@ from ruwitness.protocol import (
     estimate_expectation,
     estimate_expectation_exact,
     result_json_obj,
-    setting_distribution,
 )
 from ruwitness.robustness import NOISE_KINDS, NoiseSpec, noisy_gate
 from ruwitness.witness import (
@@ -30,7 +29,7 @@ from ruwitness.witness import (
     pauli_decompose,
 )
 
-from oracles import reference_estimate
+from oracles import reference_estimate, setting_distribution
 
 
 def _cnot_channel():

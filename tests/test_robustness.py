@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from ruwitness.channels import (
     KrausChannel,
+    _gate_ptm,
     _noisy_gate_channel,
-    _ptm,
     compose,
     gate_matrix,
     identity_channel,
@@ -47,8 +47,10 @@ from ruwitness.serialize import dumps
 from ruwitness.witness import expectation, gate_witness
 
 from oracles import (
+    gate_ptm_int,
     hand_closed_form,
     kraus_noisy_gate,
+    kraus_ptm,
     ptm_slice_polynomial,
     reference_sweep_rows,
     reference_sweep_texts,
@@ -136,7 +138,7 @@ class TestNoisyGate:
         for q in grid:
             # the coefficient table against the Kraus constructors
             table_ptm = _noise_ptm(kind, q)
-            assert np.max(np.abs(table_ptm - _ptm(single_qubit_noise(kind, q)))) < 1e-15, q
+            assert np.max(np.abs(table_ptm - kraus_ptm(single_qubit_noise(kind, q)))) < 1e-15, q
 
     def test_composed_map_that_is_not_cp_raises(self):
         # depolarising at strength 1.5 has Pauli weight 1 - 3q/4 < 0 on the identity
@@ -145,7 +147,7 @@ class TestNoisyGate:
 
     def test_composed_map_that_is_not_tp_raises(self):
         # one Kraus operator diag(sqrt 1.5, sqrt 0.5): CP with a unit-trace Choi state, not TP
-        lossy = _ptm(KrausChannel(2, [np.diag([math.sqrt(1.5), math.sqrt(0.5)])]))
+        lossy = kraus_ptm(KrausChannel(2, [np.diag([math.sqrt(1.5), math.sqrt(0.5)])]))
         with pytest.raises(ValueError, match="not trace preserving"):
             _noisy_gate_channel("CZ", lossy, _noise_ptm("dephasing", 0.0))
 
@@ -176,6 +178,13 @@ class TestNoisyGate:
     def test_unknown_gate(self):
         with pytest.raises(ValueError):
             noisy_gate("SWAP", NoiseSpec("dephasing", 0.1, 0.1))
+
+    @pytest.mark.parametrize("gate", GATE_NAMES)
+    def test_gate_ptm_is_the_signed_permutation(self, gate):
+        r = _gate_ptm(gate)
+        assert np.array_equal(r, gate_ptm_int(gate))
+        assert np.array_equal(r, kraus_ptm(unitary_channel(gate_matrix(gate))))
+        assert not r.flags.writeable
 
 
 class TestClosedForm:

@@ -8,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from ruwitness.cli import main as cli_main
 from ruwitness.robustness import (
     GATE_NAMES,
     NOISE_KINDS,
     THRESHOLD_MODES,
     sweep,
     threshold,
+    threshold_json_obj,
     write_sweep_csv,
 )
+from ruwitness.serialize import dumps
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,11 +38,28 @@ def run_script(monkeypatch, capsys):
 def test_threshold_table_json_matches_library(run_script, tmp_path):
     path = tmp_path / "roots.json"
     assert run_script("threshold_table.py", "--json", str(path)) == 0
-    records = json.loads(path.read_text())
-    expected = [(g, k, m) for g in GATE_NAMES for k in NOISE_KINDS for m in THRESHOLD_MODES]
-    assert [(r["gate"], r["noise"], r["mode"]) for r in records] == expected  # all 24
-    for r in records:
-        assert r["roots"] == threshold(r["gate"], r["noise"], r["mode"])
+    slices = [(g, k, m) for g in GATE_NAMES for k in NOISE_KINDS for m in THRESHOLD_MODES]
+    records = [threshold_json_obj(g, k, m, threshold(g, k, m)) for g, k, m in slices]  # all 24
+    assert path.read_text() == dumps(records)
+
+
+@pytest.mark.parametrize("gate,kind,mode", [
+    ("CNOT", "depolarising", "before_only"),
+    ("CZ", "dephasing", "equal"),
+    ("CNOT", "amplitude_damping", "after_only"),
+])
+def test_threshold_table_json_records_are_cli_outputs(run_script, capsys, tmp_path, gate, kind, mode):
+    """Each record is the object ``ruwitness threshold --out`` writes for its slice."""
+    path = tmp_path / "roots.json"
+    assert run_script("threshold_table.py", "--json", str(path)) == 0
+    (record,) = [r for r in json.loads(path.read_text())
+                 if (r["gate"], r["noise"], r["mode"]) == (gate.lower(), kind, mode)]
+    out = tmp_path / "cli.json"
+    cli_mode = mode.removesuffix("_only")
+    assert cli_main(["threshold", "--gate", gate.lower(), "--noise", kind, "--mode", cli_mode,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert dumps(record) == out.read_text()
 
 
 def test_detection_regions_writes_library_csvs(run_script, tmp_path):

@@ -13,11 +13,10 @@ from ruwitness.channels import (
     gate_matrix,
     haar_unitary,
     identity_channel,
-    sample_channel,
     sample_sru,
     unitary_channel,
 )
-from ruwitness.choi import choi_of, max_entangled, overlap_direct
+from ruwitness.choi import choi_of
 from ruwitness import witness as witness_module
 from ruwitness.linalg import _validate_choi, is_psd, kron
 from ruwitness.witness import (
@@ -28,7 +27,6 @@ from ruwitness.witness import (
     build_witness,
     cover_exists,
     expectation,
-    expectation_via_choi,
     minimal_settings,
     gate_witness,
     pauli_decompose,
@@ -36,7 +34,15 @@ from ruwitness.witness import (
 )
 
 from golden import CNOT_TERMS, CZ_COVER, CZ_TERMS, KNOWN_CNOT_COVER
-from oracles import beta_search, reference_best_cover, reference_decompose
+from oracles import (
+    beta_search,
+    expectation_via_choi,
+    max_entangled,
+    overlap_direct,
+    reference_best_cover,
+    reference_decompose,
+    sample_channel,
+)
 
 SQRT_SWAP = np.array(
     [
