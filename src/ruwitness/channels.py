@@ -15,8 +15,8 @@ Conventions
 * Kraus operators that are exactly the zero matrix are dropped on
   construction, and non-finite entries are rejected.  tensor/compose
   multiply Kraus counts (first argument outer); noisy gates are composed
-  from table noise Pauli transfer matrices (PTMs), have at most 16 and keep
-  the validated Choi matrix that :func:`ruwitness.choi.choi_of` returns.
+  from table noise Pauli transfer matrices (PTMs) and have at most 16, one
+  per eigenvalue of their validated Choi matrix above round-off.
 * A Kraus list is only unique up to a unitary gauge, so channel equality
   is never defined entrywise on Kraus operators; compare Choi states
   instead (see :mod:`ruwitness.choi`).
@@ -188,12 +188,12 @@ def _gate_ptm(name: str) -> np.ndarray:
 
 def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausChannel:
     """(post ⊗ post) ∘ gate ∘ (pre ⊗ pre) from single-qubit PTMs, one Kraus operator per
-    Choi eigenvalue, keeping its Choi matrix for :func:`ruwitness.choi.choi_of`.
+    Choi eigenvalue.
 
     R = (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1), with D ⊗ D by einsum (np.kron is 4x slower), and
     C = sum_ij R_ij P_i ⊗ P_j^T / 16; eigenpair (lam, v) -> sqrt(4 lam) unvec(v), row-major.
-    The kept matrix, sum lam v v^dag over the kept pairs, is the Choi state of those
-    operators; it is validated once at ``DEFAULT_TOL``, PSD from the full spectrum.
+    The Choi state of those operators, sum lam v v^dag over the kept pairs, is
+    validated once at ``DEFAULT_TOL``, PSD from the full spectrum.
     """
     d1, d2 = (np.einsum("ac,bd->abcd", d, d).reshape(16, 16) for d in (pre, post))
     _, p = pauli_basis(2)
@@ -201,12 +201,8 @@ def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausCh
     lam, vecs = np.linalg.eigh(x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16) / 16)
     keep = lam > 1e-12  # round-off: dropping all of it moves the trace by at most 1.6e-11
     half = np.sqrt(lam[keep]) * vecs[:, keep]  # columns rowvec(A_k) / 2
-    choi = half @ half.conj().T
-    _validate_choi(choi, 4, DEFAULT_TOL, lowest=lam[0])
-    choi.setflags(write=False)
-    ch = KrausChannel(4, (2 * half).T.reshape(-1, 4, 4))
-    vars(ch)["_choi"] = choi
-    return ch
+    _validate_choi(half @ half.conj().T, 4, DEFAULT_TOL, lowest=lam[0])
+    return KrausChannel(4, (2 * half).T.reshape(-1, 4, 4))
 
 
 def apply(ch: KrausChannel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -8,7 +8,8 @@ ordered A, B (channel output) then C, D (reference), big-endian.
 The maximally entangled state factorises across the AC|BD split,
 ``|alpha>_ABCD = |alpha>_AC ⊗ |alpha>_BD``, and every separability
 statement about random-unitary channels lives in that split.  The shot
-estimator reads the Born probabilities of its local settings off C_M.
+estimator forms C_M from the Kraus stack by the same identity and reads
+the Born probabilities of its local settings off its Pauli components.
 """
 
 from __future__ import annotations
@@ -41,13 +42,8 @@ def choi_of(ch: KrausChannel, tol: float = DEFAULT_TOL) -> ChoiState:
     """Choi state (M ⊗ id)[|alpha><alpha|] of a CPT channel.
 
     Uses the identity (A ⊗ 1)|alpha> = rowvec(A)/sqrt(d): the Choi matrix
-    is (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag.  A noisy gate keeps the
-    matrix it was built from, validated at ``DEFAULT_TOL``; it is returned
-    as is unless ``tol`` is stricter.
+    is (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag, validated at ``tol``.
     """
-    kept = vars(ch).get("_choi")
-    if kept is not None and tol >= DEFAULT_TOL:
-        return ChoiState(ch.dim, kept)
     d = ch.dim
     vecs = ch.kraus.reshape(ch.n_kraus, d * d) / np.sqrt(d)
     m = np.einsum("ki,kj->ij", vecs, vecs.conj())

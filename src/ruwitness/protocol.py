@@ -8,18 +8,16 @@ witness decomposition is estimated from the one setting assigned to it
 expectation is the coefficient-weighted sum of the term estimates; the
 identity term enters exactly and is never sampled.
 
-Measurement is realised by exact Born probabilities on the post-channel
-Choi state followed by multinomial sampling per setting, with one private
-RNG stream per setting derived from ``(seed, setting_index)``.  There is
-no trajectory-level circuit simulation: at dimension 16 the exact
-distribution is cheap and sidesteps rotation-gate conventions entirely.
+Measurement is realised by exact Born probabilities followed by
+multinomial sampling per setting, with one private RNG stream per setting
+derived from ``(seed, setting_index)``.  A setting measures 16 Pauli
+strings (its axes on a subset of the qubits, I elsewhere), and its Born
+vector is the Walsh-Hadamard transform of their components Tr[C (P ⊗ Q)]
+on the Choi state C, which the estimator forms from the Kraus stack.
 
-Everything that depends only on the witness and the settings (the term
-assignment, the sign rows, the stacked local rotations) is compiled once
-into a measurement plan kept on the witness's cached decomposition.  An
-estimate then reads the channel's Choi state C (a noisy gate keeps the one
-it was built from) and all Born vectors as ``diag(R^dag C R)`` from one
-stacked matrix product over the settings.
+The term assignment, the sign rows and the indices of each setting's
+strings are compiled once into a measurement plan kept on the witness's
+cached decomposition.
 Settings must be distinct: a repeated setting would count its terms twice.
 """
 
@@ -32,8 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .channels import KrausChannel
-from .choi import choi_of
-from .linalg import kron
+from .linalg import DEFAULT_TOL, _pauli_components
 from .witness import (
     IDENTITY_STRING,
     PauliDecomposition,
@@ -43,14 +40,10 @@ from .witness import (
     setting_covers,
 )
 
-_SQRT2 = np.sqrt(2.0)
-
-# Columns are the +1 and -1 eigenvectors of the measured Pauli axis.
-_AXIS_EIGENBASIS = {
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / _SQRT2,
-    "Z": np.eye(2, dtype=complex),
-}
+_AXIS_CODE = {"X": 1, "Y": 2, "Z": 3}  # index of the letter in "IXYZ"
+_BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1  # bits of qubits A to D
+# Row ``mask``: the +-1 outcome signs of a string that measures the qubits in ``mask``.
+_H16 = 1.0 - 2.0 * (_BITS @ _BITS.T % 2)
 
 
 @dataclass(frozen=True)
@@ -89,21 +82,29 @@ class EstimateResult:
         return self.estimate < 0
 
 
-def _rotations(settings: tuple[str, ...]) -> np.ndarray:
-    """Stacked (n, 16, 16) rotations whose columns are the outcome eigenvectors."""
+def _substrings(settings: tuple[str, ...]) -> np.ndarray:
+    """Per setting, entry ``mask``: the index of the string with the setting's
+    axes on the qubits in ``mask`` and I elsewhere."""
     for setting in settings:
-        if len(setting) != 4 or any(a not in _AXIS_EIGENBASIS for a in setting):
+        if len(setting) != 4 or any(a not in _AXIS_CODE for a in setting):
             raise ValueError(f"setting must be 4 letters over XYZ, got {setting!r}")
-    rotations = [kron(*[_AXIS_EIGENBASIS[a] for a in s]) for s in settings]
-    return np.array(rotations, dtype=complex).reshape(-1, 16, 16)
+    codes = np.array([[_AXIS_CODE[a] for a in s] for s in settings], dtype=int).reshape(-1, 4)
+    return (codes * [64, 16, 4, 1]) @ _BITS.T
 
 
-def _born_vectors(ch: KrausChannel, rotations: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
-    """Born vectors diag(R^dag C R) of all settings, read off one Choi state."""
+def _outcome_probabilities(ch: KrausChannel, substrings: np.ndarray) -> np.ndarray:
+    """Born vectors of the settings whose strings are ``substrings``.
+
+    The Choi state (1/4) sum_k rowvec(A_k) rowvec(A_k)^dag is Hermitian and PSD
+    by construction; trace preservation needs Tr[C (1 ⊗ Q)] = [Q = 1].
+    """
     if ch.dim != 4:
         raise ValueError(f"channel must act on dimension 4, got {ch.dim}")
-    c = choi_of(ch).matrix
-    return np.real(np.diagonal(adjoints @ c @ rotations, axis1=1, axis2=2))
+    m = ch.kraus.reshape(-1, 16)
+    components = _pauli_components(m.T @ m.conj() / 4)
+    if not np.max(np.abs(components[:16] - np.eye(16)[0])) <= DEFAULT_TOL:
+        raise ValueError("channel is not trace preserving")
+    return components.real[substrings] @ _H16 / 16
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ class _MeasurementPlan:
     assigned to, ``term_counts[i]`` of them for setting ``i``.  Row ``t`` of
     ``signs`` holds the +-1 eigenvalue products of term ``t`` over the 16
     outcomes and ``term_setting[t]`` its setting; ``combined[i]`` is the
-    coefficient-weighted sum of setting ``i``'s sign rows.
+    coefficient-weighted sum of setting ``i``'s sign rows.  Row ``i`` of
+    ``substrings`` indexes the 16 strings setting ``i`` measures.
     """
 
     settings: tuple[str, ...]
@@ -125,8 +127,7 @@ class _MeasurementPlan:
     signs: np.ndarray
     combined: np.ndarray
     combined_sq: np.ndarray
-    rotations: np.ndarray
-    adjoints: np.ndarray
+    substrings: np.ndarray
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -138,7 +139,7 @@ def _compile_plan(decomp: PauliDecomposition, settings: tuple[str, ...]) -> _Mea
     """Assign every non-identity term to its first covering setting and precompute."""
     if len(set(settings)) != len(settings):
         raise ValueError(f"measurement settings repeat: {settings!r}")
-    rotations = _rotations(settings)
+    substrings = _substrings(settings)
     assigned = []
     for coeff, string in decomp.terms:
         if string != IDENTITY_STRING:
@@ -147,10 +148,8 @@ def _compile_plan(decomp: PauliDecomposition, settings: tuple[str, ...]) -> _Mea
                 raise ValueError(f"no setting covers Pauli string {string!r}")
             assigned.append((index, float(coeff), string))
     assigned.sort(key=lambda a: a[0])  # stable: decomposition order within a setting
-    # qubit q's eigenvalue over the outcomes: +1 where its bit is 0, -1 where it is 1
-    qubit_signs = 1.0 - 2.0 * ((np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1)
-    measured = np.array([[p != "I" for p in string] for _, _, string in assigned])
-    signs = np.where(measured.reshape(-1, 4, 1), qubit_signs, 1.0).prod(axis=1)
+    measured = np.array([[p != "I" for p in string] for _, _, string in assigned], dtype=bool)
+    signs = _H16[measured.reshape(-1, 4) @ [8, 4, 2, 1]]
     term_setting = np.array([index for index, _, _ in assigned], dtype=int)
     combined = np.zeros((len(settings), 16))
     for (index, coeff, _), row in zip(assigned, signs):
@@ -164,8 +163,7 @@ def _compile_plan(decomp: PauliDecomposition, settings: tuple[str, ...]) -> _Mea
         signs=signs,
         combined=combined,
         combined_sq=combined**2,
-        rotations=rotations,
-        adjoints=rotations.conj().transpose(0, 2, 1),
+        substrings=substrings,
     )
 
 
@@ -191,12 +189,12 @@ def _estimate(w, ch, settings, shot_plan):
     products, which keeps deterministic-outcome channels bit-exact.
     """
     plan = _plan_for(w, settings)
-    born = _born_vectors(ch, plan.rotations, plan.adjoints)
+    born = _outcome_probabilities(ch, plan.substrings)
     if shot_plan is None:
         weights, shots = born, None
     else:
         shots = shot_plan.shots_per_setting
-        p = np.maximum(born, 0.0)  # clip eigendecomposition dust
+        p = np.maximum(born, 0.0)  # clip round-off dust
         p /= p.sum(axis=1, keepdims=True)
         weights = np.empty_like(p)
         for index, row in enumerate(p):

@@ -36,7 +36,7 @@ from math import ceil
 import numpy as np
 
 from .channels import KrausChannel, gate_matrix
-from .linalg import pauli_basis
+from .linalg import _pauli_components, pauli_basis
 
 GATE_NAMES = ("CNOT", "CZ")
 IDENTITY_STRING = "IIII"
@@ -194,8 +194,7 @@ def pauli_decompose(w: Witness) -> PauliDecomposition:
 
 
 def _decompose(matrix: np.ndarray) -> PauliDecomposition:
-    strings, stack = pauli_basis(4)
-    coeffs = stack.reshape(256, 256) @ matrix.T.ravel() / 16.0
+    coeffs = _pauli_components(matrix) / 16.0
     if not np.max(np.abs(coeffs.imag)) <= 1e-12:  # NaN fails too
         raise ArithmeticError("witness matrix is not Hermitian")
     c = coeffs.real
@@ -203,8 +202,9 @@ def _decompose(matrix: np.ndarray) -> PauliDecomposition:
     exact = np.abs(c - snapped / 64) <= _SNAP_TOL
     kept = np.flatnonzero(~exact | (snapped != 0))
     columns = (kept.tolist(), c[kept].tolist(), snapped[kept].tolist(), exact[kept].tolist())
+    pairs = pauli_basis(2)[0]  # component 16 p + q is string pairs[p] + pairs[q]
     return PauliDecomposition(tuple(
-        (Fraction(int(k), 64) if e else v, strings[i]) for i, v, k, e in zip(*columns)
+        (Fraction(int(k), 64) if e else v, pairs[i >> 4] + pairs[i & 15]) for i, v, k, e in zip(*columns)
     ))
 
 

@@ -13,8 +13,16 @@ operators in the same order.
 
 ``reference_estimate`` is the shot estimator as it was before the
 measurement plan: it decomposes the witness, assigns terms and builds each
-setting's rotation with ``kron`` on every call.  It is the reference for
-``ruwitness.protocol``, which compiles all of that once per witness.
+setting's sign rows with ``kron`` on every call.  It is the reference for
+``ruwitness.protocol``, which compiles all of that once per witness; it
+takes its Born vectors from the production route, so the two must agree
+bit for bit, sampling included.
+
+``rotation_born_vectors`` is the estimator's Born route as it was before
+the Pauli-component kernel: ``diag(R^dag C R)`` with each setting's local
+rotation R, whose columns are the outcome eigenvectors, and the Choi
+matrix from ``choi_of``.  It is the independent reference for the
+Walsh-Hadamard transform of Pauli components in ``ruwitness.protocol``.
 
 ``kraus_ptm`` is the Pauli transfer matrix of a channel from its Kraus
 operators, through the superoperator sum_k A_k ⊗ conj(A_k).  It is the
@@ -58,9 +66,10 @@ the trace of the product of the two Choi matrices, (1/d^2) sum_{k,l}
 Tr[M(|i><j|) L(|j><i|)] over matrix-unit images.  ``apply_via_choi`` reads
 the channel action off the Choi state, ``expectation_via_choi`` the witness
 expectation, and ``setting_distribution`` the Born probabilities of one
-local setting.  ``permute_qubits`` reorders tensor factors, which shows the
-AC|BD factorisation of ``max_entangled(4)``; ``sample_channel`` draws
-generic CPT channels far outside the random-unitary set.
+local setting as the estimator reads them.  ``permute_qubits`` reorders
+tensor factors, which shows the AC|BD factorisation of
+``max_entangled(4)``; ``sample_channel`` draws generic CPT channels far
+outside the random-unitary set.
 
 ``reference_pauli_basis`` stacks the Pauli strings as they were before the
 basis was built by broadcasting: one ``kron`` chain per string.  It is the
@@ -88,7 +97,7 @@ from scipy.optimize import minimize
 from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unitary_channel
 from ruwitness.choi import choi_of
 from ruwitness.linalg import PAULIS, all_pauli_strings, kron, partial_trace
-from ruwitness.protocol import EstimateResult, _born_vectors, _rotations
+from ruwitness.protocol import EstimateResult, _outcome_probabilities, _substrings
 from ruwitness.robustness import SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
 from ruwitness.witness import ALL_SETTINGS, minimal_settings, pauli_decompose, setting_covers
@@ -224,6 +233,13 @@ _EIGENBASIS = {
 }
 
 
+def rotation_born_vectors(ch: KrausChannel, settings) -> np.ndarray:
+    """(n, 16) Born vectors diag(R^dag C R), one local rotation R per setting."""
+    c = choi_of(ch).matrix
+    rotations = [kron(*[_EIGENBASIS[a] for a in setting]) for setting in settings]
+    return np.array([np.real(np.diag(r.conj().T @ c @ r)) for r in rotations]).reshape(-1, 16)
+
+
 def _outcome_signs(string: str) -> np.ndarray:
     """Eigenvalue product of a Pauli string per outcome: the diagonal of its Z-type twin."""
     factors = [np.eye(2) if p == "I" else np.diag([1.0, -1.0]) for p in string]
@@ -239,13 +255,12 @@ def reference_estimate(w, ch, plan=None, settings=None):
         if string != "IIII":
             first = next(s for s in settings if setting_covers(s, string))
             assignment[first].append((float(coeff), string))
-    c = choi_of(ch).matrix
+    born = _outcome_probabilities(ch, _substrings(settings))
     estimate = float(decomp.coefficient("IIII"))
     variance = 0.0
     per_setting = []
     for index, setting in enumerate(settings):
-        r = kron(*[_EIGENBASIS[a] for a in setting])
-        probs = np.real(np.diag(r.conj().T @ c @ r))
+        probs = born[index]
         if plan is None:
             weights, shots = probs, None
         else:
@@ -557,5 +572,4 @@ def setting_distribution(ch: KrausChannel, setting: str) -> np.ndarray:
     Outcome index bits follow the qubit order A, B, C, D (big-endian);
     bit 0 means eigenvalue +1, bit 1 means -1.
     """
-    rotations = _rotations((setting,))
-    return _born_vectors(ch, rotations, rotations.conj().transpose(0, 2, 1))[0]
+    return _outcome_probabilities(ch, _substrings((setting,)))[0]

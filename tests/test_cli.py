@@ -323,3 +323,21 @@ def test_json_files_have_the_stdlib_layout(capsys, tmp_path, argv, flags):
     for path in paths:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+def test_pipeline_builds_no_four_qubit_pauli_basis():
+    """The Pauli split and the shot estimator read components, never the 256-string stack."""
+    script = textwrap.dedent("""
+        from ruwitness import cli
+        from ruwitness.linalg import pauli_basis
+        codes = [cli.main(["witness", "--gate", "cz"]),
+                 cli.main(["simulate", "--gate", "cnot", "--noise", "amplitude_damping",
+                           "--q1", "0.3", "--q2", "0.15", "--shots", "5000", "--seed", "11"])]
+        misses = pauli_basis.cache_info().misses
+        pauli_basis(4)
+        print("codes", codes, "new misses", pauli_basis.cache_info().misses - misses)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(ruwitness.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[-1] == "codes [0, 0] new misses 1"

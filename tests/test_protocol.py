@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 
 from ruwitness.channels import (
+    KrausChannel,
     depolarising,
     gate_matrix,
     haar_unitary,
     identity_channel,
+    sample_sru,
     tensor,
     unitary_channel,
 )
+from ruwitness.linalg import all_pauli_strings
 from ruwitness.protocol import (
     EstimateResult,
     ShotPlan,
+    _outcome_probabilities,
     _plan_for,
+    _substrings,
     estimate_expectation,
     estimate_expectation_exact,
     result_json_obj,
 )
 from ruwitness.robustness import NOISE_KINDS, NoiseSpec, noisy_gate
 from ruwitness.witness import (
+    ALL_SETTINGS,
     Witness,
     build_witness,
     expectation,
@@ -29,7 +35,7 @@ from ruwitness.witness import (
     pauli_decompose,
 )
 
-from oracles import reference_estimate, setting_distribution
+from oracles import reference_estimate, rotation_born_vectors, sample_channel, setting_distribution
 
 
 def _cnot_channel():
@@ -99,6 +105,47 @@ class TestSettingDistribution:
             setting_distribution(identity_channel(2), "XXXX")
 
 
+class TestBornVectors:
+    """The Walsh-Hadamard route against diag(R^dag C R) with local rotations, all 81 settings."""
+
+    SUBSTRINGS = _substrings(ALL_SETTINGS)
+
+    def _check(self, ch):
+        got = _outcome_probabilities(ch, self.SUBSTRINGS)
+        assert np.max(np.abs(got - rotation_born_vectors(ch, ALL_SETTINGS))) <= 1e-15
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
+    def test_noisy_gates(self, gate, kind):
+        for q1, q2 in ((0.0, 0.0), (1.0, 0.35), (0.2, 1.0), (0.55, 0.15), (0.3, 0.2)):
+            self._check(noisy_gate(gate, NoiseSpec(kind, q1, q2)))
+
+    def test_sampled_and_identity_channels(self):
+        for seed in range(20):
+            self._check(sample_sru(1 + seed % 4, seed=seed))
+        self._check(identity_channel(4))
+        for seed in range(5):
+            self._check(sample_channel(4, terms=3, seed=seed))
+
+    @pytest.mark.parametrize("kraus", [2 * np.eye(4), np.diag([1.0, 1.0, 1.0, 0.5])])
+    def test_channel_that_is_not_trace_preserving_raises(self, kraus):
+        w, ch = gate_witness("CZ"), KrausChannel(4, [kraus])
+        with pytest.raises(ValueError, match="not trace preserving"):
+            estimate_expectation(w, ch, ShotPlan(100, 1))
+        with pytest.raises(ValueError, match="not trace preserving"):
+            estimate_expectation_exact(w, ch)
+
+    def test_no_eigensolver(self, monkeypatch):
+        w, ch = gate_witness("CNOT"), sample_sru(3, seed=4)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=solver, **k: calls.append(a) or _f(*a, **k))
+        estimate_expectation(w, ch, ShotPlan(1000, 2))
+        estimate_expectation_exact(w, ch)
+        assert calls == []
+
+
 class TestExactEstimator:
     def test_matches_expectation_on_noise_grid(self):
         for gate in ("CNOT", "CZ"):
@@ -157,7 +204,7 @@ class TestMeasurementPlan:
     def test_plan_arrays_are_read_only(self):
         w, settings, _ = self._cnot()
         plan = _plan_for(w, settings)
-        for name in ("term_setting", "signs", "combined", "combined_sq", "rotations", "adjoints"):
+        for name in ("term_setting", "signs", "combined", "combined_sq", "substrings"):
             array = getattr(plan, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
@@ -170,10 +217,12 @@ class TestMeasurementPlan:
         plan = _plan_for(w, settings)
         assert plan.identity == 7 / 16
         assert sum(plan.term_counts) == len(plan.strings) == 15
-        assert np.array_equal(plan.adjoints, plan.rotations.conj().transpose(0, 2, 1))
-        eye = np.eye(16)
-        for r in plan.rotations:
-            assert np.allclose(r.conj().T @ r, eye, atol=1e-15)
+        strings = tuple(all_pauli_strings(4))
+        assert plan.substrings.shape == (len(settings), 16)
+        for setting, row in zip(settings, plan.substrings):
+            # row i, entry m: setting i's axis on qubit q where bit 3 - q of m is set, I elsewhere
+            assert [strings[j] for j in row] == [
+                "".join(a if m >> (3 - q) & 1 else "I" for q, a in enumerate(setting)) for m in range(16)]
 
     def test_invalid_input_raises_on_every_call(self):
         w, settings, ch = self._cnot()
