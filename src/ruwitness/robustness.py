@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, dropwhile, zip_longest
+from itertools import accumulate, chain, dropwhile, islice, repeat, zip_longest
 from math import gcd, nextafter, sqrt, ulp
 from operator import ne, not_
 from typing import IO, Iterable, NamedTuple
@@ -41,7 +41,7 @@ from .channels import (
     dephasing,
     depolarising,
 )
-from .serialize import fmt12, round12
+from .serialize import _fmt12_column, _round12_column, round12
 from .witness import GATE_NAMES, expectation, gate_witness
 
 # kind -> (single-qubit constructor, PTM coefficients D[k] in the Pauli order I, X, Y, Z,
@@ -190,20 +190,23 @@ def _crossings(coeffs: Iterable[int]) -> list[float]:
     roots = [0.0] * odd0 + [1.0] * odd1
     if len(p) == 1:
         return roots
-    chain = [p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]]
-    while rem := _pseudo_divmod(chain[-2], chain[-1])[1]:
-        chain.append(_primitive([-c for c in rem]))
-    # p / gcd(p, p'): the same roots, all simple; in floats, for the root estimates
-    simple = [float(c) for c in (_pseudo_divmod(p, chain[-1])[0] if len(chain[-1]) > 1 else p)]
+    sturm = [p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]]
+    while rem := _pseudo_divmod(sturm[-2], sturm[-1])[1]:
+        sturm.append(_primitive([-c for c in rem]))
+    # p / gcd(p, p'): the same roots, all simple; in floats, for the root estimates, scaled
+    # by one power of two below its largest coefficient, so that no coefficient overflows
+    simple = _pseudo_divmod(p, sturm[-1])[0] if len(sturm[-1]) > 1 else p
+    scale = 1 << max(map(int.bit_length, simple))
+    simple = [c / scale for c in simple]
 
-    cells = [(_sturm_point(chain, (0, 1)), _sturm_point(chain, (1, 1)))]
+    cells = [(_sturm_point(sturm, (0, 1)), _sturm_point(sturm, (1, 1)))]
     while cells:
         (a, va, a_positive), (b, vb, b_positive) = left, right = cells.pop()
         if va - vb > 1:
             m = _midpoint(a, b)
             while not _value(p, m):
                 m = _midpoint(a, m)
-            middle = _sturm_point(chain, m)
+            middle = _sturm_point(sturm, m)
             cells += [(left, middle), (middle, right)]
         elif va - vb == 1 and a_positive != b_positive:
             roots.append(_round_root(p, a, b, a_positive, _estimate(simple, a[0] / a[1], b[0] / b[1])))
@@ -345,24 +348,43 @@ def sweep(gate: str, kind: str, grid_points: int) -> list[SweepRow]:
     name, kind = _check_gate(gate), _check_kind(kind)
     q1, q2 = np.indices((grid_points, grid_points)).reshape(2, -1) / (grid_points - 1)
     values = _closed_form(name, kind, q1, q2, np.sqrt)
-    return list(map(SweepRow._make, zip(q1.tolist(), q2.tolist(), values.tolist(), (values < 0).tolist())))
+    fields = zip(q1.tolist(), q2.tolist(), values.tolist(), (values < 0).tolist())
+    return list(map(tuple.__new__, repeat(SweepRow), fields))
+
+
+_CSV_BLOCK_ROWS = 4096
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
-    """CSV with header q1,q2,value,detected and 12-significant-digit numbers."""
-    coord = cache(fmt12)  # q1 and q2 repeat: format each distinct one once
+    """CSV with header q1,q2,value,detected and 12-significant-digit numbers.
+
+    Written column by column, one join per block of rows, so that memory does not
+    grow with the grid: each distinct q1, q2 and value of a block is formatted
+    once, with ``fmt12``'s digits from one numpy pass per column, and ``detected``
+    prints by its truth value.
+    """
     fh.write("q1,q2,value,detected\n")
-    for q1, q2, value, detected in rows:
-        fh.write(f"{coord(q1)},{coord(q2)},{fmt12(value)},{'true' if detected else 'false'}\n")
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+        q1, q2, value, detected = zip(*block)
+        lines = zip(_fmt12_column(q1), repeat(","), _fmt12_column(q2), repeat(","), _fmt12_column(value),
+                    map((",false\n", ",true\n").__getitem__, map(bool, detected)))
+        fh.write("".join(chain.from_iterable(lines)))
 
 
 def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
-    coord = cache(round12)
+    """The JSON object of a sweep, one record per row, numbers rounded to 12 digits.
+
+    Built column by column: each distinct q1, q2 and value is rounded once, with
+    ``round12``'s floats from one numpy pass per column, so equal numbers share
+    one float.
+    """
+    q1, q2, value, detected = list(zip(*rows)) or [()] * 4
     return {
         "gate": gate.lower(),
         "noise": kind,
-        "rows": [{"q1": coord(q1), "q2": coord(q2), "value": round12(value), "detected": detected}
-                 for q1, q2, value, detected in rows],
+        "rows": [{"q1": a, "q2": b, "value": v, "detected": d}
+                 for a, b, v, d in zip(*map(_round12_column, (q1, q2, value)), detected)],
     }
 
 

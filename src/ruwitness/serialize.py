@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import math
 from decimal import Decimal
-from functools import cache
+from functools import cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, not_
 
 
 def fmt12(x: float) -> str:
@@ -21,14 +21,106 @@ def round12(x: float) -> float:
     return float(f"{float(x):.11e}") + 0.0
 
 
+# 10^k for 0 <= k <= 22, each one a float exactly (5^22 < 2^53)
+_POW10 = tuple(float(10**k) for k in range(23))
+
+
+def _significands(x):
+    """(e, m, p, ok) for a float array x: where ``ok``, m is the integer whose 12 digits
+    ``fmt12(x)`` prints, e is the decimal exponent of x and p = 10^|11 - e|.
+
+    y = |x| 10^(11 - e) is one multiply or divide by the exact p, so it lies within half
+    an ulp of the exact product, at most 6.1e-5 below 1e12, and m = rint(y) is the
+    correctly rounded significand unless y lies that near a half-integer (Clinger 1990;
+    Ziv 1991).  ``ok`` keeps only x != 0 with |11 - e| <= 22, 1e11 <= y, m < 1e12 and
+    |frac(y) - 1/2| > 1e-3; an e that log10 misjudged fails the two bounds on y and m,
+    or gives y = 1e11 exactly, whose digits are right.  Any other value needs the
+    scalar route.
+    """
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # log10(0) and non-finite values fail ``ok`` below
+        a = np.abs(x)
+        e = np.floor(np.log10(a))
+        ok = np.abs(11 - e) <= 22
+        p = np.array(_POW10)[np.where(ok, np.abs(11 - e), 0).astype(np.intp)]
+        y = np.where(e <= 11, a * p, a / p)
+        m = np.rint(y)
+        ok &= (y >= 1e11) & (m < 1e12) & (np.abs(y - np.floor(y) - 0.5) > 1e-3)
+    return e, m, p, ok
+
+
+def _per_distinct(convert, values) -> list:
+    """``convert`` applied once to the distinct values of a column, as a list, and its
+    results spread back over the column; values that are == (-0.0 and 0.0) share one."""
+    distinct = dict.fromkeys(values)
+    return list(map(dict(zip(distinct, convert(list(distinct)))).__getitem__, values))
+
+
+def _fmt12_column(values) -> list[str]:
+    """``list(map(fmt12, values))``, which prints -0.0 as 0.0, each value formatted once."""
+    return _per_distinct(_fmt12_distinct, values)
+
+
+def _fmt12_distinct(values: list) -> list[str]:
+    """``fmt12`` of each value: with decimal exponent -11 <= e < 0, sign, "0.", -e - 1
+    zeros and m from ``_significands``; any other value by ``fmt12`` itself."""
+    import numpy as np
+
+    x = np.array(values, dtype=float)
+    e, m, _, ok = _significands(x)
+    ok &= e < 0
+    # prefix row: 0-10 for the exponents -1 to -11 of positive values, 11-21 of negative ones
+    prefixes = np.array([sign + "0." + "0" * z for sign in ("", "-") for z in range(11)], dtype=object)
+    row = np.where(ok, -1 - e + 11 * np.signbit(x), 0).astype(np.intp)
+    text = list(map(str.__add__, prefixes[row].tolist(), map(str, np.where(ok, m, 0).astype(np.int64).tolist())))
+    for i in np.flatnonzero(~ok).tolist():
+        text[i] = fmt12(values[i])
+    return text
+
+
+def _round12_column(values) -> list[float]:
+    """``list(map(round12, values))``, which folds -0.0 into 0.0, each value rounded once,
+    so that equal values share one float."""
+    return _per_distinct(_round12_distinct, values)
+
+
+def _round12_distinct(values: list) -> list[float]:
+    """``round12`` of each value: m / 10^(11 - e) from ``_significands`` is one correctly
+    rounded operation on exact operands, so it is the float nearest the 12-digit
+    decimal, as ``round12`` parses it; any other value by ``round12`` itself."""
+    import numpy as np
+
+    x = np.array(values, dtype=float)
+    e, m, p, ok = _significands(x)
+    out = np.copysign(np.where(e <= 11, m / p, m * p), x).tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = round12(values[i])
+    return out
+
+
 # Exact types only: subclasses (numpy.float64, IntEnum, ...) take the stdlib
 # route, which is the one that defines how they print.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
 _DICT = frozenset((dict,))
 _LITERALS = {True: "true", False: "false", None: "null"}
-_COLUMN = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
-           bool: _LITERALS.__getitem__, type(None): _LITERALS.__getitem__}
+
+
+def _float_reprs(column: list[float]) -> list[str] | None:
+    """``list(map(repr, column))``, each distinct value printed once; None if one is not
+    finite.  Finite floats that are == have one bit pattern, except -0.0 and 0.0, which
+    print apart, so a column that holds both is printed value by value."""
+    if not all(map(math.isfinite, column)):
+        return None
+    if len({math.copysign(1.0, z) for z in filter(not_, column)}) > 1:
+        return list(map(float.__repr__, column))
+    return _per_distinct(partial(map, float.__repr__), column)
+
+
+# column type -> its texts, or None where the column needs the generic route
+_COLUMN = {float: _float_reprs, int: partial(map, int.__repr__), str: partial(map, encode_basestring_ascii),
+           bool: partial(map, _LITERALS.__getitem__), type(None): partial(map, _LITERALS.__getitem__)}
 
 
 @cache
@@ -42,7 +134,7 @@ def _records(items: list, pad: str) -> str | None:
 
     Every record needs the first one's nonempty set of ``str`` keys and every
     column one exact scalar type, finite floats only; ``pad`` is the newline and
-    indent of the list's items.
+    indent of the list's items.  A float column prints each distinct value once.
     """
     first = items[0]
     if not (_DICT.issuperset(map(type, items)) and first and _STR.issuperset(map(type, first))
@@ -56,9 +148,9 @@ def _records(items: list, pad: str) -> str | None:
             return None
         kinds = set(map(type, column))
         kind = kinds.pop() if len(kinds) == 1 else None
-        if kind not in _COLUMN or kind is float and not all(map(math.isfinite, column)):
+        if kind not in _COLUMN or (texts := _COLUMN[kind](column)) is None:
             return None
-        parts += [repeat(f"{sep}{encode_basestring_ascii(key)}: "), map(_COLUMN[kind], column)]
+        parts += [repeat(f"{sep}{encode_basestring_ascii(key)}: "), texts]
         sep = "," + pad + "  "
     parts.append(repeat(pad + "}," + pad))
     return "".join(chain.from_iterable(zip(*parts)))[: -len(pad) - 1]

@@ -326,6 +326,14 @@ class TestThreshold:
         for gate, kind in ALL_COMBOS:
             assert threshold(gate, kind, "before_only") == threshold(gate, kind, "after_only")
 
+    def test_huge_coefficients_do_not_overflow_the_estimate(self):
+        assert _crossings([-10**399, 10**400]) == [0.1]  # 10^400 x - 10^399
+
+    def test_scaled_slices_keep_their_roots(self):
+        for gate, kind, mode in ALL_SLICES:
+            coeffs = _slice_polynomial(gate, kind, mode)
+            assert _crossings([c * 10**400 for c in coeffs]) == _crossings(coeffs), (gate, kind, mode)
+
     def test_no_sign_change_gives_empty(self):
         assert _crossings([5]) == []
         assert _crossings([1, 0, 2]) == []  # 2x^2 + 1
@@ -443,6 +451,10 @@ class TestSweepRow:
     def test_sweep_yields_python_scalars(self):
         for row in sweep("CZ", "amplitude_damping", 3):
             assert tuple(map(type, row)) == (float, float, float, bool)
+
+    def test_sweep_yields_sweep_rows(self):
+        rows = sweep("CNOT", "dephasing", 7)
+        assert all(type(row) is SweepRow for row in rows)
 
     def test_writers_accept_a_generator(self):
         rows = sweep("CZ", "dephasing", 4)

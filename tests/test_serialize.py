@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ruwitness.serialize import _records, dumps, fmt12, round12
+from ruwitness.robustness import sweep
+from ruwitness.serialize import _fmt12_column, _records, _round12_column, _significands, dumps, fmt12, round12
 
 
 @given(st.floats())
@@ -22,6 +23,36 @@ from ruwitness.serialize import _records, dumps, fmt12, round12
 @example(-1.7976931348623157e308)
 def test_round12_equals_the_parsed_fmt12(x):
     assert repr(round12(x)) == repr(float(fmt12(x)))
+
+
+# 0.1234567890125 is a decimal tie at 12 digits; its float lies just off it.
+TIE = float("0.1234567890125")
+NEAR_TIES = (TIE, math.nextafter(TIE, 0.0), math.nextafter(TIE, 1.0))
+KERNEL_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-11, 1.0, 1e22, *NEAR_TIES))
+    | st.floats(min_value=0.0, max_value=2.2250738585072014e-308)  # subnormals
+    | st.floats(min_value=1.0, max_value=1e40)
+    | st.floats(min_value=9e-12, max_value=1.1e-11)
+    | st.builds(lambda a, n: (2 * a + 1) / 2**n, st.integers(0, 2**40), st.integers(1, 80))  # dyadics
+)
+
+
+@given(st.lists(st.builds(math.copysign, KERNEL_FLOATS, st.sampled_from((1.0, -1.0))), max_size=40))
+@example([*NEAR_TIES, -TIE, 0.0, -0.0, 5e-324, 1e-11, math.nextafter(1e-11, 0.0), 0.9999999999995, 1.0])
+@example([(2 * a + 1) / 2**n for n in (13, 40, 41, 44) for a in (0, 1, 2, 1000)])
+@example([10.0**-k * f for k in range(12) for f in (1 - 4e-13, 1 - 6e-13, 1 + 4e-13)])  # round up a decade
+@example([math.nextafter(10.0**-k, d) for k in range(12) for d in (0.0, 1.0)])
+def test_column_kernel_equals_the_scalar_route(values):
+    assert _fmt12_column(values) == list(map(fmt12, values))
+    assert list(map(repr, _round12_column(values))) == list(map(repr, map(round12, values)))
+
+
+def test_kernel_sends_near_ties_to_the_scalar_route():
+    ok = _significands(np.array([*NEAR_TIES, 0.3, 0.0, 1.0]))[3]
+    assert ok.tolist() == [False, False, False, True, False, True]
+    values = np.array([row.value for row in sweep("CZ", "amplitude_damping", 101)])
+    assert _significands(values)[3].mean() > 0.99  # the fast path serves nearly all sweep values
 
 
 # Strings that look like JSON separators, format templates or escapes.
@@ -114,6 +145,16 @@ def test_same_key_records_print_column_by_column(rows):
     assert _records(rows, "\n  ") is not None  # the strategy reaches the columnar path
     assert_matches_stdlib(rows)
     assert_matches_stdlib({"rows": rows, "nested": [[rows]]})
+
+
+@pytest.mark.parametrize("rows", [
+    [{"x": -0.0, "n": 1}, {"x": 0.0, "n": 2}, {"x": -0.0, "n": 3}, {"x": 0.5, "n": 4}],  # both zeros
+    [{"v": (0.1, -0.25, 1e-300, 0.1 + 0.2)[i % 4], "w": float(i % 3), "n": i} for i in range(400)],  # repeats
+], ids=["signed_zeros", "heavy_repeats"])
+def test_float_columns_print_each_value_as_the_stdlib_does(rows):
+    assert _records(rows, "\n  ") is not None
+    assert_matches_stdlib(rows)
+    assert_matches_stdlib({"rows": rows})
 
 
 @pytest.mark.parametrize("rows", [
