@@ -5,7 +5,8 @@ Each row shows the exact roots of the closed-form witness expectation
 along the pre-only, post-only and equal-strength noise slices.  Below the
 table, the radical forms of the analytically solvable roots are listed for
 comparison.  The ``--json`` file lists one record per slice, each the
-object that ``ruwitness threshold --out`` writes for that slice.
+object that ``ruwitness threshold --out`` writes for that slice.  The script
+needs no numpy: the thresholds are exact roots of integer polynomials.
 
 Usage: python scripts/threshold_table.py [--json out.json]
 """
@@ -13,8 +14,8 @@ Usage: python scripts/threshold_table.py [--json out.json]
 import argparse
 import math
 
-from ruwitness.robustness import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold, threshold_json_obj
 from ruwitness.serialize import dumps, fmt12
+from ruwitness.thresholds import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold, threshold_json_obj
 
 EXACT_FORMS = [
     ("depolarising before/after", "(4 - 2*sqrt(2))/3", (4 - 2 * math.sqrt(2)) / 3),

@@ -5,111 +5,76 @@ decomposes them into local Pauli measurements with a provably minimal set
 of nine settings, and quantifies how much depolarising, dephasing, bit-flip
 or amplitude-damping noise the detection tolerates, both in closed form and
 by first-principles Kraus simulation.
+
+Public names resolve on first use (PEP 562), so ``import ruwitness`` loads
+no submodule and no numpy; each name then stays bound in the package.
 """
 
-from .channels import (
-    KrausChannel,
-    amplitude_damping,
-    apply,
-    bit_flip,
-    compose,
-    dephasing,
-    depolarising,
-    gate_matrix,
-    haar_unitary,
-    identity_channel,
-    pauli_channel,
-    sample_sru,
-    tensor,
-    unitary_channel,
-    validate_cpt,
-)
-from .choi import ChoiState, choi_of
-from .linalg import (
-    DEFAULT_TOL,
-    PAULIS,
-    all_pauli_strings,
-    is_hermitian,
-    is_psd,
-    kron,
-    partial_trace,
-)
-from .protocol import (
-    EstimateResult,
-    ShotPlan,
-    estimate_expectation,
-    estimate_expectation_exact,
-)
-from .robustness import (
-    GATE_NAMES,
-    NOISE_KINDS,
-    NoiseSpec,
-    SweepRow,
-    closed_form,
-    noisy_gate,
-    numeric_expectation,
-    sweep,
-    threshold,
-)
-from .witness import (
-    PauliDecomposition,
-    Witness,
-    beta_sru,
-    build_witness,
-    cover_exists,
-    expectation,
-    minimal_settings,
-    gate_witness,
-    pauli_decompose,
-)
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_TOL",
-    "GATE_NAMES",
-    "NOISE_KINDS",
-    "PAULIS",
-    "ChoiState",
-    "EstimateResult",
-    "KrausChannel",
-    "NoiseSpec",
-    "PauliDecomposition",
-    "ShotPlan",
-    "SweepRow",
-    "Witness",
-    "all_pauli_strings",
-    "amplitude_damping",
-    "apply",
-    "beta_sru",
-    "bit_flip",
-    "build_witness",
-    "choi_of",
-    "closed_form",
-    "compose",
-    "cover_exists",
-    "dephasing",
-    "depolarising",
-    "estimate_expectation",
-    "estimate_expectation_exact",
-    "expectation",
-    "gate_matrix",
-    "haar_unitary",
-    "identity_channel",
-    "is_hermitian",
-    "is_psd",
-    "kron",
-    "minimal_settings",
-    "noisy_gate",
-    "numeric_expectation",
-    "gate_witness",
-    "partial_trace",
-    "pauli_channel",
-    "pauli_decompose",
-    "sample_sru",
-    "sweep",
-    "tensor",
-    "threshold",
-    "unitary_channel",
-    "validate_cpt",
-]
+# Each public name and the submodule that defines it, in the order of ``__all__``.
+_SUBMODULE = {
+    "DEFAULT_TOL": "linalg",
+    "GATE_NAMES": "thresholds",
+    "NOISE_KINDS": "thresholds",
+    "PAULIS": "linalg",
+    "ChoiState": "choi",
+    "EstimateResult": "protocol",
+    "KrausChannel": "channels",
+    "NoiseSpec": "robustness",
+    "PauliDecomposition": "witness",
+    "ShotPlan": "protocol",
+    "SweepRow": "robustness",
+    "Witness": "witness",
+    "all_pauli_strings": "linalg",
+    "amplitude_damping": "channels",
+    "apply": "channels",
+    "beta_sru": "witness",
+    "bit_flip": "channels",
+    "build_witness": "witness",
+    "choi_of": "choi",
+    "closed_form": "robustness",
+    "compose": "channels",
+    "cover_exists": "witness",
+    "dephasing": "channels",
+    "depolarising": "channels",
+    "estimate_expectation": "protocol",
+    "estimate_expectation_exact": "protocol",
+    "expectation": "witness",
+    "gate_matrix": "channels",
+    "haar_unitary": "channels",
+    "identity_channel": "channels",
+    "is_hermitian": "linalg",
+    "is_psd": "linalg",
+    "kron": "linalg",
+    "minimal_settings": "witness",
+    "noisy_gate": "robustness",
+    "numeric_expectation": "robustness",
+    "gate_witness": "witness",
+    "partial_trace": "linalg",
+    "pauli_channel": "channels",
+    "pauli_decompose": "witness",
+    "sample_sru": "channels",
+    "sweep": "robustness",
+    "tensor": "channels",
+    "threshold": "thresholds",
+    "unitary_channel": "channels",
+    "validate_cpt": "channels",
+}
+
+__all__ = list(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{submodule}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,10 @@ All state comes from flags (no config files), numeric output is fixed at
 12 significant digits, and identical argv plus seed produce byte-identical
 output files.  Exit status: 0 success, 1 invalid input (an output path that
 cannot be written included), 2 internal invariant failure.
+
+Each handler imports the modules it runs, so a process pays only for its own
+subcommand: ``threshold`` loads no numpy, and ``witness`` and ``beta`` load
+neither the robustness nor the protocol module.
 """
 
 from __future__ import annotations
@@ -13,23 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .channels import _check_unit_interval, gate_matrix
-from .protocol import ShotPlan, estimate_expectation, result_json_obj
-from .robustness import (
-    GATE_NAMES,
-    NOISE_KINDS,
-    NoiseSpec,
-    noisy_gate,
-    closed_form,
-    numeric_expectation,
-    sweep,
-    sweep_json_obj,
-    threshold,
-    threshold_json_obj,
-    write_sweep_csv,
-)
-from .serialize import dumps, fmt12
-from .witness import beta_sru, minimal_settings, gate_witness, pauli_decompose
+from .thresholds import GATE_NAMES, NOISE_KINDS
 
 _MODE_MAP = {"before": "before_only", "after": "after_only", "equal": "equal"}
 
@@ -104,6 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_witness(args) -> int:
+    from .serialize import dumps, fmt12
+    from .witness import gate_witness, minimal_settings, pauli_decompose
+
     w = gate_witness(args.gate)
     decomp = pauli_decompose(w)
     settings = minimal_settings(decomp)
@@ -121,6 +112,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    from .channels import gate_matrix
+    from .serialize import fmt12
+    from .witness import beta_sru
+
     _check_positive("--restarts", args.restarts)
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
@@ -130,6 +125,10 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_expect(args) -> int:
+    from .channels import _check_unit_interval
+    from .robustness import NoiseSpec, closed_form, numeric_expectation
+    from .serialize import fmt12
+
     _check_unit_interval("--q1", args.q1)
     _check_unit_interval("--q2", args.q2)
     analytic = closed_form(args.gate, args.noise, args.q1, args.q2)
@@ -149,6 +148,9 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from .serialize import dumps, fmt12
+    from .thresholds import threshold, threshold_json_obj
+
     mode = _MODE_MAP[args.mode]
     roots = threshold(args.gate, args.noise, mode)
     for r in roots:
@@ -159,6 +161,9 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .robustness import sweep, sweep_json_obj, write_sweep_csv
+    from .serialize import dumps
+
     if args.grid < 2:
         raise ValueError(f"--grid must be >= 2, got {args.grid}")
     rows = sweep(args.gate, args.noise, args.grid)
@@ -172,6 +177,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .channels import _check_unit_interval
+    from .protocol import ShotPlan, estimate_expectation, result_json_obj
+    from .robustness import NoiseSpec, noisy_gate
+    from .serialize import dumps, fmt12
+    from .witness import gate_witness, minimal_settings, pauli_decompose
+
     _check_unit_interval("--q1", args.q1)
     _check_unit_interval("--q2", args.q2)
     _check_positive("--shots", args.shots)

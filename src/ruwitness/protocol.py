@@ -46,6 +46,10 @@ _BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1  # bits of qubits A
 _H16 = 1.0 - 2.0 * (_BITS @ _BITS.T % 2)
 
 
+# numpy's multinomial draw takes its count as a C int64
+_MAX_SHOTS = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class ShotPlan:
     """Measurement budget: shots per setting and the sampling seed."""
@@ -59,8 +63,8 @@ class ShotPlan:
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.shots_per_setting < 1:
-            raise ValueError(f"shots_per_setting must be >= 1, got {self.shots_per_setting}")
+        if not 1 <= self.shots_per_setting <= _MAX_SHOTS:
+            raise ValueError(f"shots_per_setting must be in [1, {_MAX_SHOTS}], got {self.shots_per_setting}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -37,8 +37,8 @@ import numpy as np
 
 from .channels import KrausChannel, gate_matrix
 from .linalg import _pauli_components, pauli_basis
+from .thresholds import GATE_NAMES
 
-GATE_NAMES = ("CNOT", "CZ")
 IDENTITY_STRING = "IIII"
 
 # The magic basis as columns, scaled by sqrt(2) so that the change of basis
@@ -263,8 +263,10 @@ def best_cover(
     among minimum covers the smallest sorted index tuple wins.  A setting
     whose mask repeats a smaller index's is dropped: a minimum cover holds
     at most one of the two, and swapping in the smaller index gives a
-    smaller sorted tuple.
+    smaller sorted tuple.  A negative ``bound`` admits no cover, not even the empty one.
     """
+    if bound < 0:
+        return None
     universe = (1 << len(cand_for)) - 1
     best: tuple[int, ...] | None = None
 

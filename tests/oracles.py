@@ -32,17 +32,23 @@ forms from its formula.
 
 ``ptm_slice_polynomial`` is the integer polynomial of a threshold slice
 from the Pauli-transfer-matrix composition in exact integer arithmetic.  It
-certifies ``ruwitness.robustness._slice_polynomial``, which restricts the
+certifies ``ruwitness.thresholds._slice_polynomial``, which restricts the
 integer table of the closed form to the slice.
 
-``sympy_crossings`` is ``ruwitness.robustness._crossings`` from sympy's
+``ptm_table`` is the integer table of a closed form, <R_U, DD[b] R_U DD[a]>,
+derived in numpy from the gate PTM ``ruwitness.channels._gate_ptm`` and the
+noise coefficients ``ruwitness.robustness._NOISES`` that ``noisy_gate``
+composes.  It pins the literal tables of ``ruwitness.thresholds``, which
+closed forms, sweeps and thresholds read.
+
+``sympy_crossings`` is ``ruwitness.thresholds._crossings`` from sympy's
 ``real_roots``: the odd-multiplicity roots in [0, 1], evaluated to 50 digits
 and rounded to the nearest float.  It is the reference for the integer Sturm
 chain and its certified, correctly rounded roots.
 
 ``hand_closed_form`` holds the eight witness expectations as they were
-transcribed by hand before ``ruwitness.robustness`` derived them from one
-PTM formula as integer tables.  The tests expand it in sympy and require
+transcribed by hand before they became the integer tables of one PTM
+formula (``ptm_table``).  The tests expand it in sympy and require
 each table to equal it term for term, so it certifies the transcription.
 
 ``reference_sweep_rows`` is the detection-map sweep as it was before the
@@ -94,11 +100,11 @@ import numpy as np
 import sympy
 from scipy.optimize import minimize
 
-from ruwitness.channels import KrausChannel, compose, gate_matrix, tensor, unitary_channel
+from ruwitness.channels import KrausChannel, _gate_ptm, compose, gate_matrix, tensor, unitary_channel
 from ruwitness.choi import choi_of
 from ruwitness.linalg import PAULIS, all_pauli_strings, kron, partial_trace
 from ruwitness.protocol import EstimateResult, _outcome_probabilities, _substrings
-from ruwitness.robustness import SweepRow, closed_form, single_qubit_noise
+from ruwitness.robustness import _NOISES, SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
 from ruwitness.witness import ALL_SETTINGS, minimal_settings, pauli_decompose, setting_covers
 
@@ -179,6 +185,17 @@ def ptm_slice_polynomial(gate: str, kind: str, mode: str) -> list[int]:
     coeffs = [-int(np.sum(r_u * m)) for m in r_m]
     coeffs[0] += 8
     return coeffs
+
+
+def ptm_table(gate: str, kind: str) -> tuple[tuple[int, ...], ...]:
+    """T[a][b] = <R_U, DD[b] R_U DD[a]>, the integer coefficient of x1^a x2^b in <R_U, R_M>,
+    where D(x) = sum_k x^k D[k] and DD[m] = sum_{k+l=m} D[k] ⊗ D[l]."""
+    r_u = np.rint(r := _gate_ptm(gate)).astype(int)  # a signed permutation
+    assert np.abs(r - r_u).max() <= 1e-12
+    d = _NOISES[kind][1]
+    dd = [sum(np.kron(a, d[m - k]) for k, a in enumerate(d) if 0 <= m - k < len(d))
+          for m in range(2 * len(d) - 1)]
+    return tuple(tuple(int(np.sum(r_u * (post @ r_u @ pre))) for post in dd) for pre in dd)
 
 
 def sympy_crossings(coeffs: list[int]) -> list[float]:
@@ -436,7 +453,7 @@ def reference_best_cover(strings, bound=None):
         nonlocal best, bound
         if covered == universe:
             cover = tuple(sorted(chosen))
-            if best is None or (len(cover), cover) < (len(best), best):
+            if len(cover) <= bound and (best is None or (len(cover), cover) < (len(best), best)):
                 best, bound = cover, len(cover)
             return
         remaining = (universe & ~covered).bit_count()

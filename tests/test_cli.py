@@ -96,9 +96,9 @@ class TestExpectCommand:
         assert "--q1" in err
 
     def test_route_disagreement_exits_two(self, capsys, monkeypatch):
-        import ruwitness.cli as cli_module
+        import ruwitness.robustness
 
-        monkeypatch.setattr(cli_module, "closed_form", lambda *a: 123.0)
+        monkeypatch.setattr(ruwitness.robustness, "closed_form", lambda *a: 123.0)
         code, _, err = run(
             capsys, "expect", "--gate", "cnot", "--noise", "dephasing",
             "--q1", "0.1", "--q2", "0.1",
@@ -196,6 +196,15 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "--shots" in err
+
+    def test_huge_shot_count_is_invalid_input(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--gate", "cz", "--noise", "dephasing",
+            "--q1", "0.1", "--q2", "0.1", "--shots", "100000000000000000000", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("ruwitness: error: shots_per_setting must be in [1, ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestSelftestCommand:

@@ -1,9 +1,14 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ruwitness
+from ruwitness.cli import main as cli_main
+from ruwitness.thresholds import GATE_NAMES, NOISE_KINDS
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -40,18 +45,100 @@ def test_import_loads_no_scipy():
 
 
 def test_thresholds_load_no_scipy_or_sympy():
-    """Exact thresholds need only Python integers: no scipy, sympy or numpy.polynomial."""
+    """Exact thresholds need only Python integers: no scipy, sympy or numpy."""
     code = (
         "import sys, ruwitness\n"
-        "from ruwitness.robustness import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold\n"
+        "from ruwitness.thresholds import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold\n"
         "for gate in GATE_NAMES:\n"
         "    for kind in NOISE_KINDS:\n"
         "        for mode in THRESHOLD_MODES:\n"
         "            threshold(gate, kind, mode)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')\n"
-        "             or m.startswith('numpy.polynomial')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy', 'numpy')))"
     )
     assert _fresh_interpreter(code) == "[]"
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    code = "import sys, ruwitness; print(sorted(m for m in sys.modules if m.split('.')[0] in ('ruwitness', 'numpy')))"
+    assert _fresh_interpreter(code) == "['ruwitness']"
+
+
+def test_dir_lists_every_public_name_and_resolved_names_stay_bound():
+    code = (
+        "import sys, ruwitness\n"
+        "print(sorted(set(ruwitness.__all__) - set(dir(ruwitness))), 'numpy' in sys.modules)\n"
+        "print('closed_form' in vars(ruwitness), ruwitness.closed_form is ruwitness.robustness.closed_form,\n"
+        "      'closed_form' in vars(ruwitness))"
+    )
+    assert _fresh_interpreter(code).splitlines() == ["[] False", "False True True"]
+
+
+def test_star_import_binds_exactly_all():
+    code = (
+        "import ruwitness\n"
+        "names = {}\n"
+        "exec('from ruwitness import *', names)\n"
+        "del names['__builtins__']\n"
+        "print(sorted(names) == sorted(ruwitness.__all__), len(names),\n"
+        "      all(value is getattr(ruwitness, name) for name, value in names.items()))"
+    )
+    assert _fresh_interpreter(code) == "True 46 True"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    code = (
+        "import sys, ruwitness\n"
+        "try:\n"
+        "    ruwitness.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(hasattr(ruwitness, 'robustness'), sorted(m for m in sys.modules if m.startswith('ruwitness')))"
+    )
+    assert _fresh_interpreter(code).splitlines() == [
+        "module 'ruwitness' has no attribute 'no_such_name'", "False ['ruwitness']"]
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["threshold", "--gate", "cnot", "--noise", "amplitude_damping", "--mode", "equal"], ["numpy"]),
+    (["witness", "--gate", "cz"], ["ruwitness.protocol", "ruwitness.robustness"]),
+    (["beta", "--gate", "cnot"], ["ruwitness.protocol", "ruwitness.robustness"]),
+    (["sweep", "--gate", "cz", "--noise", "bitflip", "--grid", "3", "--out", "{tmp}/sweep.csv"],
+     ["ruwitness.protocol"]),
+], ids=["threshold", "witness", "beta", "sweep"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = (
+        "import sys\n"
+        "from ruwitness.cli import main\n"
+        f"status = main({argv!r})\n"
+        f"print(status, [m for m in {unloaded!r} if m in sys.modules])"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "0 []"
+
+
+def test_threshold_output_without_numpy(tmp_path, capsys):
+    """All 24 slices with numpy unimportable print and write the bytes of an ordinary run."""
+    slices = [(g.lower(), k, m) for g in GATE_NAMES for k in NOISE_KINDS for m in ("before", "after", "equal")]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ruwitness.cli import main\n"
+        "outs = []\n"
+        f"for i, (gate, kind, mode) in enumerate({slices!r}):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        status = main(['threshold', '--gate', gate, '--noise', kind, '--mode', mode,\n"
+        f"                       '--out', f'{tmp_path}/blocked-{{i}}.json'])\n"
+        "    outs.append([status, buf.getvalue()])\n"
+        "print(json.dumps(outs))"
+    )
+    blocked = json.loads(_fresh_interpreter(code))
+    assert len(blocked) == 24
+    for i, ((gate, kind, mode), (status, stdout)) in enumerate(zip(slices, blocked)):
+        path = tmp_path / f"ordinary-{i}.json"
+        assert cli_main(["threshold", "--gate", gate, "--noise", kind, "--mode", mode, "--out", str(path)]) == 0
+        assert (status, stdout) == (0, capsys.readouterr().out), (gate, kind, mode)
+        assert (tmp_path / f"blocked-{i}.json").read_bytes() == path.read_bytes(), (gate, kind, mode)
 
 
 def test_closed_forms_build_no_channel():

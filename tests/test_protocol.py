@@ -51,6 +51,15 @@ class TestShotPlan:
         with pytest.raises(ValueError):
             ShotPlan(shots_per_setting=10, seed=-1)
 
+    def test_shot_count_fits_the_sampler(self):
+        # numpy's multinomial draw takes its count as a C int64
+        plan = ShotPlan(shots_per_setting=2**63 - 1, seed=1)
+        ch = noisy_gate("CZ", NoiseSpec("dephasing", 0.1, 0.1))
+        assert estimate_expectation(gate_witness("CZ"), ch, plan).detected
+        for shots in (2**63, 10**20):
+            with pytest.raises(ValueError, match="shots_per_setting"):
+                ShotPlan(shots_per_setting=shots, seed=1)
+
     @pytest.mark.parametrize("shots,seed", [
         (2.5, 1), (2.0, 1), (True, 1), (np.bool_(True), 1), ("10", 1),
         (10, 1.0), (10, False), (10, None), (10, "1"),

@@ -29,12 +29,10 @@ from ruwitness.robustness import (
     SweepRow,
     closed_form,
     noisy_gate,
+    _NOISES,
     _closed_form,
-    _crossings,
     _horner_rows,
     _noise_ptm,
-    _slice_polynomial,
-    _table,
     numeric_expectation,
     single_qubit_noise,
     sweep,
@@ -44,6 +42,7 @@ from ruwitness.robustness import (
     write_sweep_csv,
 )
 from ruwitness.serialize import dumps
+from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial
 from ruwitness.witness import expectation, gate_witness
 
 from oracles import (
@@ -52,6 +51,7 @@ from oracles import (
     kraus_noisy_gate,
     kraus_ptm,
     ptm_slice_polynomial,
+    ptm_table,
     reference_sweep_rows,
     reference_sweep_texts,
     sympy_crossings,
@@ -235,6 +235,15 @@ class TestClosedForm:
         assert analytic == pytest.approx(numeric, abs=1e-10)
 
     @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_literal_table_equals_ptm_derivation(self, gate, kind):
+        assert _TABLES[gate, kind] == ptm_table(gate, kind)
+        assert all(type(c) is int for row in _TABLES[gate, kind] for c in row)
+
+    def test_tables_cover_the_gate_and_noise_names(self):
+        assert tuple(_NOISES) == NOISE_KINDS
+        assert list(_TABLES) == [(g, k) for g in GATE_NAMES for k in NOISE_KINDS]
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
     def test_table_equals_hand_transcription(self, gate, kind):
         # exact certificate: 8 - 16 * hand form, expanded in sympy, has the table's terms;
         # damping tables are in s = sqrt(1 - gamma), so substitute gamma = 1 - s^2
@@ -246,7 +255,7 @@ class TestClosedForm:
         hand = hand_closed_form(gate, kind, *strengths, sympy.sqrt)
         hand = hand.xreplace({f: sympy.Rational(f) for f in hand.atoms(sympy.Float)})  # exact binary values
         expected = dict(sympy.Poly(sympy.expand(8 - 16 * hand), *x).terms())
-        table = _table(gate, kind)
+        table = _TABLES[gate, kind]
         assert {(a, b): c for a, row in enumerate(table) for b, c in enumerate(row) if c} == expected
 
     @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
@@ -264,7 +273,7 @@ class TestClosedForm:
         q1, q2 = np.indices((201, 201)).reshape(2, -1) / 200
         x1, x2 = (np.sqrt(1.0 - q1), np.sqrt(1.0 - q2)) if kind == "amplitude_damping" else (q1, q2)
         total = 0.0
-        for row in _table(gate, kind)[::-1]:
+        for row in _TABLES[gate, kind][::-1]:
             inner = 0.0
             for c in row[::-1]:
                 inner = inner * x2 + float(c)

@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import ruwitness
 from ruwitness.cli import main as cli_main
 from ruwitness.robustness import (
     GATE_NAMES,
@@ -60,6 +63,23 @@ def test_threshold_table_json_records_are_cli_outputs(run_script, capsys, tmp_pa
                      "--out", str(out)]) == 0
     capsys.readouterr()
     assert dumps(record) == out.read_text()
+
+
+def test_threshold_table_runs_without_numpy(tmp_path):
+    """With numpy unimportable the script prints and writes the bytes of an ordinary run."""
+    outputs = []
+    for blocked in (True, False):
+        path = tmp_path / f"roots-{blocked}.json"
+        code = (
+            "import runpy, sys\n"
+            + ("sys.modules['numpy'] = None\n" if blocked else "")
+            + f"sys.argv = ['threshold_table.py', '--json', {str(path)!r}]\n"
+            f"runpy.run_path({str(SCRIPTS / 'threshold_table.py')!r}, run_name='__main__')"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ruwitness.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        outputs.append((done.stdout.replace(str(path), "OUT"), path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_detection_regions_writes_library_csvs(run_script, tmp_path):

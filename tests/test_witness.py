@@ -445,6 +445,16 @@ class TestMinimalSettings:
         decomp = PauliDecomposition(((Fraction(1, 2), "IIII"),))
         assert minimal_settings(decomp) == ()
 
+    @pytest.mark.parametrize("decomp", [
+        PauliDecomposition(((Fraction(1, 2), "IIII"),)),
+        _decomposition("XYZX"),
+        pauli_decompose(gate_witness("CNOT")),
+    ], ids=["identity-only", "one-string", "cnot"])
+    def test_negative_cover_size_never_suffices(self, decomp):
+        assert not cover_exists(decomp, -1)
+        assert not cover_exists(decomp, -9)
+        assert cover_exists(decomp, 0) == (decomp.strings() == ("IIII",))
+
     def test_single_full_weight_string(self):
         assert minimal_settings(_decomposition("XYZX")) == ("XYZX",)
 
