@@ -6,8 +6,9 @@ of nine settings, and quantifies how much depolarising, dephasing, bit-flip
 or amplitude-damping noise the detection tolerates, both in closed form and
 by first-principles Kraus simulation.
 
-Public names resolve on first use (PEP 562), so ``import ruwitness`` loads
-no submodule and no numpy; each name then stays bound in the package.
+Public names and submodules resolve on first use (PEP 562), so ``import
+ruwitness`` loads no submodule and no numpy; each name then stays bound in
+the package.
 """
 
 from importlib import import_module
@@ -64,10 +65,15 @@ _SUBMODULE = {
 
 __all__ = list(_SUBMODULE)
 
+# The submodules an eager ``import ruwitness`` used to bind, resolved the same way.
+_SUBMODULES = {*_SUBMODULE.values(), "serialize"}
+
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
     try:
         submodule = _SUBMODULE[name]
     except KeyError:

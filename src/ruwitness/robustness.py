@@ -91,7 +91,8 @@ def single_qubit_noise(kind: str, q: float) -> KrausChannel:
 def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
     """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1) with at most 16 Kraus operators; their order
     and gauge are not part of the contract, so compare Choi states, not Kraus lists.
-    The noise PTMs come from the ``_NOISES`` coefficients that the closed forms use.
+    The noise PTMs come from the ``_NOISES`` coefficients, to which a test pins the
+    closed forms' literal tables.
     """
     pre, post = (_noise_ptm(noise.kind, q) for q in (noise.q1, noise.q2))
     return _noisy_gate_channel(_check_gate(gate), pre, post)

@@ -40,20 +40,32 @@ def test_public_api_is_pinned():
 
 def test_import_loads_no_scipy():
     """The library runs on numpy alone; scipy serves only the test oracles."""
-    code = "import sys, ruwitness; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _fresh_interpreter(code) == "[]"
+    code = (
+        "import importlib, pkgutil, sys, ruwitness\n"
+        "from ruwitness import *\n"
+        "for info in pkgutil.iter_modules(ruwitness.__path__):\n"
+        "    if info.name != '__main__':\n"
+        "        importlib.import_module(f'ruwitness.{info.name}')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'ruwitness.selftest' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "[] True"
 
 
-def test_thresholds_load_no_scipy_or_sympy():
-    """Exact thresholds need only Python integers: no scipy, sympy or numpy."""
+@pytest.mark.parametrize("module,unloaded", [
+    ("ruwitness.thresholds", "m.split('.')[0] in ('scipy', 'sympy', 'numpy')"),
+    ("ruwitness.robustness", "m.split('.')[0] in ('scipy', 'sympy') or m.startswith('numpy.polynomial')"),
+])
+def test_thresholds_load_no_scipy_or_sympy(module, unloaded):
+    """Exact thresholds need only Python integers: no scipy, sympy or numpy.polynomial,
+    and no numpy at all from the threshold module itself."""
     code = (
         "import sys, ruwitness\n"
-        "from ruwitness.thresholds import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold\n"
+        f"from {module} import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold\n"
         "for gate in GATE_NAMES:\n"
         "    for kind in NOISE_KINDS:\n"
         "        for mode in THRESHOLD_MODES:\n"
         "            threshold(gate, kind, mode)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy', 'numpy')))"
+        f"print(sorted(m for m in sys.modules if {unloaded}))"
     )
     assert _fresh_interpreter(code) == "[]"
 
@@ -92,19 +104,28 @@ def test_unknown_attribute_raises_attribute_error():
         "    ruwitness.no_such_name\n"
         "except AttributeError as exc:\n"
         "    print(exc)\n"
-        "print(hasattr(ruwitness, 'robustness'), sorted(m for m in sys.modules if m.startswith('ruwitness')))"
+        "print(sorted(m for m in sys.modules if m.startswith('ruwitness')))"
     )
     assert _fresh_interpreter(code).splitlines() == [
-        "module 'ruwitness' has no attribute 'no_such_name'", "False ['ruwitness']"]
+        "module 'ruwitness' has no attribute 'no_such_name'", "['ruwitness']"]
+
+
+def test_submodules_resolve_as_attributes():
+    """``import ruwitness`` still reaches the submodules it bound when it imported them eagerly."""
+    code = (
+        "import ruwitness\n"
+        "print(ruwitness.robustness.sweep_json_obj is not None, ruwitness.serialize.dumps is not None,\n"
+        "      ruwitness.thresholds.threshold is ruwitness.threshold)"
+    )
+    assert _fresh_interpreter(code) == "True True True"
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    (["threshold", "--gate", "cnot", "--noise", "amplitude_damping", "--mode", "equal"], ["numpy"]),
     (["witness", "--gate", "cz"], ["ruwitness.protocol", "ruwitness.robustness"]),
     (["beta", "--gate", "cnot"], ["ruwitness.protocol", "ruwitness.robustness"]),
     (["sweep", "--gate", "cz", "--noise", "bitflip", "--grid", "3", "--out", "{tmp}/sweep.csv"],
      ["ruwitness.protocol"]),
-], ids=["threshold", "witness", "beta", "sweep"])
+], ids=["witness", "beta", "sweep"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (
