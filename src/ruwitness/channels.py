@@ -16,7 +16,8 @@ Conventions
   construction, and non-finite entries are rejected.  tensor/compose
   multiply Kraus counts (first argument outer); noisy gates are composed
   from table noise Pauli transfer matrices (PTMs) and have at most 16, one
-  per eigenvalue of their validated Choi matrix above round-off.
+  per eigenvalue of their Choi matrix above round-off.  A Kraus list is CP
+  by construction, so :func:`validate_cpt` checks the one property it can lack.
 * A Kraus list is only unique up to a unitary gauge, so channel equality
   is never defined entrywise on Kraus operators; compare Choi states
   instead (see :mod:`ruwitness.choi`).
@@ -41,7 +42,6 @@ from .linalg import (
     DEFAULT_TOL,
     PAULI_X,
     PAULI_Z,
-    _validate_choi,
     is_density_matrix,
     pauli_basis,
 )
@@ -192,17 +192,21 @@ def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausCh
 
     R = (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1), with D ⊗ D by einsum (np.kron is 4x slower), and
     C = sum_ij R_ij P_i ⊗ P_j^T / 16; eigenpair (lam, v) -> sqrt(4 lam) unvec(v), row-major.
-    The Choi state of those operators, sum lam v v^dag over the kept pairs, is
-    validated once at ``DEFAULT_TOL``, PSD from the full spectrum.
+    The map is CP iff the spectrum it already holds is >= -``DEFAULT_TOL``; the kept
+    operators are CP by construction, so trace preservation is the one check left.
     """
     d1, d2 = (np.einsum("ac,bd->abcd", d, d).reshape(16, 16) for d in (pre, post))
     _, p = pauli_basis(2)
     x = p.reshape(16, 16).T @ (d2 @ _gate_ptm(gate) @ d1) @ p.conj().reshape(16, 16)  # P^T = conj(P)
     lam, vecs = np.linalg.eigh(x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16) / 16)
+    if lam[0] < -DEFAULT_TOL:
+        raise ValueError("Choi matrix is not positive semidefinite")
     keep = lam > 1e-12  # round-off: dropping all of it moves the trace by at most 1.6e-11
     half = np.sqrt(lam[keep]) * vecs[:, keep]  # columns rowvec(A_k) / 2
-    _validate_choi(half @ half.conj().T, 4, DEFAULT_TOL, lowest=lam[0])
-    return KrausChannel(4, (2 * half).T.reshape(-1, 4, 4))
+    ch = KrausChannel(4, (2 * half).T.reshape(-1, 4, 4))
+    if not validate_cpt(ch):
+        raise ValueError("channel is not trace preserving")
+    return ch
 
 
 def apply(ch: KrausChannel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

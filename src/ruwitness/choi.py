@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel
-from .linalg import DEFAULT_TOL, _validate_choi
+from .channels import KrausChannel, validate_cpt
+from .linalg import DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +42,11 @@ def choi_of(ch: KrausChannel, tol: float = DEFAULT_TOL) -> ChoiState:
     """Choi state (M ⊗ id)[|alpha><alpha|] of a CPT channel.
 
     Uses the identity (A ⊗ 1)|alpha> = rowvec(A)/sqrt(d): the Choi matrix
-    is (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag, validated at ``tol``.
+    is (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag, PSD for any Kraus list; its unit
+    trace and reference marginal are the completeness relation, checked at ``tol``.
     """
+    if not validate_cpt(ch, tol):
+        raise ValueError("channel is not trace preserving")
     d = ch.dim
     vecs = ch.kraus.reshape(ch.n_kraus, d * d) / np.sqrt(d)
-    m = np.einsum("ki,kj->ij", vecs, vecs.conj())
-    _validate_choi(m, d, tol)
-    return ChoiState(d, m)
+    return ChoiState(d, np.einsum("ki,kj->ij", vecs, vecs.conj()))

@@ -3,8 +3,8 @@
 Subcommands: witness, beta, expect, threshold, sweep, simulate, selftest.
 All state comes from flags (no config files), numeric output is fixed at
 12 significant digits, and identical argv plus seed produce byte-identical
-output files.  Exit status: 0 success, 1 invalid input (an output path that
-cannot be written included), 2 internal invariant failure.
+output files.  Exit status: 0 success, 1 invalid input (an unwritable output
+path or a grid too large to hold included), 2 internal invariant failure.
 
 Each handler imports the modules it runs, so a process pays only for its own
 subcommand: ``threshold`` loads no numpy, and ``witness`` and ``beta`` load
@@ -32,11 +32,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _check_positive(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +111,8 @@ def _cmd_beta(args) -> int:
     from .serialize import fmt12
     from .witness import beta_sru
 
-    _check_positive("--restarts", args.restarts)
+    if args.restarts < 1:
+        raise ValueError(f"--restarts must be a positive integer, got {args.restarts!r}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     value = beta_sru(gate_matrix(args.gate), restarts=args.restarts, seed=args.seed)
@@ -178,14 +174,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .channels import _check_unit_interval
-    from .protocol import ShotPlan, estimate_expectation, result_json_obj
+    from .protocol import _MAX_SHOTS, ShotPlan, estimate_expectation, result_json_obj
     from .robustness import NoiseSpec, noisy_gate
     from .serialize import dumps, fmt12
     from .witness import gate_witness, minimal_settings, pauli_decompose
 
     _check_unit_interval("--q1", args.q1)
     _check_unit_interval("--q2", args.q2)
-    _check_positive("--shots", args.shots)
+    if not 1 <= args.shots <= _MAX_SHOTS:
+        raise ValueError(f"--shots must be in [1, {_MAX_SHOTS}], got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     w = gate_witness(args.gate)
@@ -231,8 +228,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
-        print(f"ruwitness: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # an unwritable --out, a --grid too large
+        print(f"ruwitness: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -77,24 +77,6 @@ def partial_trace(mat: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
     raise ValueError("keep must be 0 or 1")
 
 
-def _validate_choi(m: np.ndarray, d: int, tol: float, lowest: float | None = None) -> None:
-    """Raise unless ``m`` is the Choi matrix of a CPT map on dimension ``d``.
-
-    ``lowest`` is the smallest eigenvalue of ``m`` when the caller already
-    holds its spectrum; otherwise it is computed here.  PSD is checked before
-    the trace, since dropping negative eigenvalues also moves the trace.
-    """
-    if not is_hermitian(m, tol):
-        raise ValueError("Choi matrix is not Hermitian")
-    if (np.linalg.eigvalsh(m)[0] if lowest is None else lowest) < -tol:
-        raise ValueError("Choi matrix is not positive semidefinite")
-    if abs(np.trace(m).real - 1.0) > tol:
-        raise ValueError("Choi matrix does not have unit trace")
-    marginal = partial_trace(m, (d, d), keep=1)
-    if np.max(np.abs(marginal - np.eye(d) / d)) > tol:
-        raise ValueError("channel is not trace preserving (bad Choi marginal)")
-
-
 @lru_cache(maxsize=4)
 def pauli_basis(n_qubits: int = 4) -> tuple[tuple[str, ...], np.ndarray]:
     """All Pauli strings of a given length and their stacked read-only matrices.

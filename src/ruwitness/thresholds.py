@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import accumulate, dropwhile, zip_longest
-from math import gcd, nextafter, ulp
+from math import gcd
 from operator import ne, not_
+from struct import pack, unpack
 
 from .serialize import round12
 
@@ -193,31 +194,33 @@ def _round_root(p: list[int], a: tuple[int, int], b: tuple[int, int], a_positive
     """The float nearest the one root of p in the cell (a, b), ties to even, where p is
     positive at a if ``a_positive`` and changes sign once in (a, b).
 
-    Floats from the estimate x outwards, 1, 2, 4, ... ulps, then by bisection, are
-    signed exactly until two adjacent floats lo < hi bracket the root; the exact sign
-    at their midpoint then picks the nearer one.
+    Floats from the estimate x outwards, 1, 2, 4, ... bit patterns (which order the
+    non-negative floats), then by bisecting patterns, are signed exactly until two
+    adjacent floats lo < hi bracket the root, at most about 62 + 62 steps; the exact
+    sign at their midpoint then picks the nearer one.
     """
-    step = ulp(x)
-    while (lo := a[0] / a[1]) != (hi := b[0] / b[1]):
-        if nextafter(lo, hi) == hi:
-            m = _midpoint(lo.as_integer_ratio(), hi.as_integer_ratio())
-            if a[0] * m[1] >= m[0] * a[1]:  # a is the midpoint, rounded down to lo
-                return hi
-            if m[0] * b[1] >= b[0] * m[1]:
-                return lo
-            if not (v := _value(p, m)):
-                return m[0] / m[1]  # an exact tie: int division rounds half to even
-            return hi if (v > 0) == a_positive else lo
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+    lo_bits, hi_bits, n = unpack("<3q", pack("<3d", a[0] / a[1], b[0] / b[1], x))
+    step = 1
+    while hi_bits - lo_bits > 1:
+        if not lo_bits < n < hi_bits:
+            n = (lo_bits + hi_bits) // 2
+        x = unpack("<d", pack("<q", n))[0]
         if not (v := _value(p, point := x.as_integer_ratio())):
             return x
         if (v > 0) == a_positive:
-            a, x = point, x + step
+            a, lo_bits, n = point, n, n + step
         else:
-            b, x = point, x - step
+            b, hi_bits, n = point, n, n - step
         step *= 2
-    return lo
+    lo, hi = a[0] / a[1], b[0] / b[1]
+    m = _midpoint(lo.as_integer_ratio(), hi.as_integer_ratio())
+    if a[0] * m[1] >= m[0] * a[1]:  # a is the midpoint, rounded down to lo
+        return hi
+    if m[0] * b[1] >= b[0] * m[1]:
+        return lo
+    if not (v := _value(p, m)):
+        return m[0] / m[1]  # an exact tie: int division rounds half to even
+    return hi if (v > 0) == a_positive else lo
 
 
 def threshold(gate: str, kind: str, mode: str) -> list[float]:

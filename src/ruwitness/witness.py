@@ -37,7 +37,7 @@ import numpy as np
 
 from .channels import KrausChannel, gate_matrix
 from .linalg import _pauli_components, pauli_basis
-from .thresholds import GATE_NAMES
+from .thresholds import GATE_NAMES, _check_gate
 
 IDENTITY_STRING = "IIII"
 
@@ -96,9 +96,7 @@ def build_witness(
 @lru_cache(maxsize=None)
 def gate_witness(gate: str) -> Witness:
     """The CNOT or CZ witness with its certified offset beta = 1/2, built once per gate."""
-    name = gate.upper()
-    if name not in GATE_NAMES:
-        raise ValueError(f"gate must be one of {GATE_NAMES}, got {gate!r}")
+    name = _check_gate(gate)
     return build_witness(gate_matrix(name), 0.5, gate=name) if gate == name else gate_witness(name)
 
 

@@ -77,6 +77,11 @@ tensor factors, which shows the AC|BD factorisation of
 ``max_entangled(4)``; ``sample_channel`` draws generic CPT channels far
 outside the random-unitary set.
 
+``reference_validate_choi`` is the Choi-matrix validator the package ran
+before Kraus-built channels were checked by trace preservation alone: it
+tests Hermiticity, positivity, unit trace and the reference marginal.  It
+is the reference that ``ruwitness.choi.choi_of`` must reject a superset of.
+
 ``reference_pauli_basis`` stacks the Pauli strings as they were before the
 basis was built by broadcasting: one ``kron`` chain per string.  It is the
 reference for ``ruwitness.linalg.pauli_basis``.  ``reference_decompose`` is
@@ -102,7 +107,7 @@ from scipy.optimize import minimize
 
 from ruwitness.channels import KrausChannel, _gate_ptm, compose, gate_matrix, tensor, unitary_channel
 from ruwitness.choi import choi_of
-from ruwitness.linalg import PAULIS, all_pauli_strings, kron, partial_trace
+from ruwitness.linalg import PAULIS, all_pauli_strings, is_hermitian, kron, partial_trace
 from ruwitness.protocol import EstimateResult, _outcome_probabilities, _substrings
 from ruwitness.robustness import _NOISES, SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
@@ -581,6 +586,23 @@ def sample_channel(dim: int, terms: int, seed: int = 0) -> KrausChannel:
     w, v = np.linalg.eigh(s)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return KrausChannel(dim, g @ inv_sqrt)
+
+
+def reference_validate_choi(m: np.ndarray, d: int, tol: float) -> None:
+    """Raise unless ``m`` is the Choi matrix of a CPT map on dimension ``d``.
+
+    PSD is checked before the trace, since dropping negative eigenvalues also
+    moves the trace.
+    """
+    if not is_hermitian(m, tol):
+        raise ValueError("Choi matrix is not Hermitian")
+    if np.linalg.eigvalsh(m)[0] < -tol:
+        raise ValueError("Choi matrix is not positive semidefinite")
+    if abs(np.trace(m).real - 1.0) > tol:
+        raise ValueError("Choi matrix does not have unit trace")
+    marginal = partial_trace(m, (d, d), keep=1)
+    if np.max(np.abs(marginal - np.eye(d) / d)) > tol:
+        raise ValueError("channel is not trace preserving (bad Choi marginal)")
 
 
 def setting_distribution(ch: KrausChannel, setting: str) -> np.ndarray:

@@ -7,7 +7,7 @@ fixed inputs and tolerances.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
@@ -33,6 +33,7 @@ from oracles import (
     overlap_kraus,
     permute_qubits,
     purity,
+    reference_validate_choi,
     sample_channel,
 )
 
@@ -84,10 +85,31 @@ class TestPermuteQubits:
 
 class TestChoiOf:
     def test_rejects_channels_that_are_not_cpt(self):
-        with pytest.raises(ValueError, match="unit trace"):
+        with pytest.raises(ValueError, match="not trace preserving"):
             choi_of(KrausChannel(2, [2 * np.eye(2)]))
         with pytest.raises(ValueError, match="not trace preserving"):
             choi_of(KrausChannel(2, [np.diag([np.sqrt(1.5), np.sqrt(0.5)])]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 10**6), st.sampled_from([2, 4]), st.integers(1, 5),
+        st.booleans(), st.floats(-13, 0),
+    )
+    def test_rejects_whatever_the_choi_matrix_validator_rejects(self, seed, dim, terms, tp, log_eps):
+        # off TP, sum A^dag A = (1 + eps) 1; at eps = tol both checks read round-off
+        assume(tp or abs(log_eps + 10) > 1e-3)
+        ch = sample_channel(dim, terms, seed)
+        if not tp:
+            ch = KrausChannel(dim, ch.kraus * np.sqrt(1 + 10**log_eps))
+        vecs = ch.kraus.reshape(ch.n_kraus, dim * dim) / np.sqrt(dim)
+        try:
+            reference_validate_choi(np.einsum("ki,kj->ij", vecs, vecs.conj()), dim, 1e-10)
+        except ValueError:
+            assert not tp
+            with pytest.raises(ValueError, match="not trace preserving"):
+                choi_of(ch)
+        if tp:
+            choi_of(ch)
 
     def test_identity_gives_bell_projector(self):
         c = choi_of(identity_channel(2))

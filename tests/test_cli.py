@@ -170,6 +170,23 @@ class TestSweepCommand:
         assert code == 1
         assert "--grid" in err
 
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 5.96 GiB for an array", "Unable to allocate 5.96 GiB for an array"),
+        ("", "out of memory"),
+    ])
+    def test_grid_too_large_to_hold(self, capsys, monkeypatch, tmp_path, message, shown):
+        def sweep(*_):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("ruwitness.robustness.sweep", sweep)
+        path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "sweep", "--gate", "cz", "--noise", "dephasing",
+            "--grid", "20000", "--out", str(path),
+        )
+        assert (code, out, err) == (1, "", f"ruwitness: error: {shown}\n")
+        assert not path.exists()
+
 
 class TestSimulateCommand:
     def test_noiseless_detection(self, capsys, tmp_path):
@@ -203,7 +220,7 @@ class TestSimulateCommand:
             "--q1", "0.1", "--q2", "0.1", "--shots", "100000000000000000000", "--seed", "1",
         )
         assert (code, out) == (1, "")
-        assert err.startswith("ruwitness: error: shots_per_setting must be in [1, ")
+        assert err.startswith("ruwitness: error: --shots must be in [1, ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 

@@ -42,7 +42,7 @@ from ruwitness.robustness import (
     write_sweep_csv,
 )
 from ruwitness.serialize import dumps
-from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial
+from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial, _value
 from ruwitness.witness import expectation, gate_witness
 
 from oracles import (
@@ -151,8 +151,8 @@ class TestNoisyGate:
     def test_derived_channels_keep_no_choi_state(self, monkeypatch):
         ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.3, 0.6))
         assert set(vars(ch)) == {"dim", "kraus"}
-        eigvalsh, calls = np.linalg.eigvalsh, []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        calls = []
+        monkeypatch.setattr("ruwitness.choi.validate_cpt", lambda *a: calls.append(a) or validate_cpt(*a))
         for derived in (ch, KrausChannel(4, ch.kraus), compose(identity_channel(4), ch)):
             vecs = derived.kraus.reshape(derived.n_kraus, 16) / 2.0
             expected = np.einsum("ki,kj->ij", vecs, vecs.conj())
@@ -337,6 +337,16 @@ class TestThreshold:
 
     def test_huge_coefficients_do_not_overflow_the_estimate(self):
         assert _crossings([-10**399, 10**400]) == [0.1]  # 10^400 x - 10^399
+
+    @pytest.mark.parametrize("coeffs,root", [
+        ([-1, 10**300], 1e-300), ([-1, 2**1000], 2.0**-1000), ([-3, 10**200], 3e-200),
+    ])
+    def test_root_far_below_its_cell_takes_a_bounded_search(self, monkeypatch, coeffs, root):
+        # the bit patterns of [0, 1] span 2^62: at most about 62 doublings and 62 halvings
+        calls = []
+        monkeypatch.setattr("ruwitness.thresholds._value", lambda p, x: calls.append(x) or _value(p, x))
+        assert _crossings(coeffs) == [root]
+        assert len(calls) <= 130
 
     def test_scaled_slices_keep_their_roots(self):
         for gate, kind, mode in ALL_SLICES:

@@ -18,7 +18,7 @@ from ruwitness.channels import (
 )
 from ruwitness.choi import choi_of
 from ruwitness import witness as witness_module
-from ruwitness.linalg import _validate_choi, is_psd, kron
+from ruwitness.linalg import is_psd, kron, partial_trace
 from ruwitness.witness import (
     ALL_SETTINGS,
     PauliDecomposition,
@@ -251,8 +251,10 @@ class TestBuildWitness:
     def test_rank_one_choi_state_is_valid(self):
         rng = np.random.default_rng(29)
         for u in [gate_matrix("CNOT"), SQRT_SWAP] + [haar_unitary(4, rng) for _ in range(10)]:
-            w = build_witness(u, 1.0)
-            _validate_choi(np.eye(16) - w.matrix, 4, 1e-10)
+            c = np.eye(16) - build_witness(u, 1.0).matrix
+            assert is_psd(c, 1e-10)
+            assert abs(np.trace(c) - 1) <= 1e-10
+            assert np.max(np.abs(partial_trace(c, (4, 4), keep=1) - np.eye(4) / 4)) <= 1e-10
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("beta", [None, 0.5])
