@@ -19,6 +19,8 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("sweeps"))
     parser.add_argument("--grid", type=int, default=41, help="points per axis")
     args = parser.parse_args()
+    if args.grid < 2:
+        parser.error(f"--grid must be >= 2, got {args.grid}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for gate in GATE_NAMES:

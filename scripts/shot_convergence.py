@@ -11,17 +11,22 @@ Usage: python scripts/shot_convergence.py --q1 0.1 --q2 0.05 --seed 7
 import argparse
 
 from ruwitness.protocol import ShotPlan, estimate_expectation
-from ruwitness.robustness import NoiseSpec, noisy_gate
+from ruwitness.robustness import NOISE_KINDS, NoiseSpec, noisy_gate
 from ruwitness.witness import expectation, minimal_settings, gate_witness, pauli_decompose
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--noise", default="depolarising")
+    parser.add_argument("--noise", default="depolarising", choices=NOISE_KINDS)
     parser.add_argument("--q1", type=float, default=0.1)
     parser.add_argument("--q2", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
+    for name in ("q1", "q2"):
+        if not 0.0 <= getattr(args, name) <= 1.0:
+            parser.error(f"--{name} must lie in [0, 1], got {getattr(args, name)!r}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     w = gate_witness("CNOT")
     ch = noisy_gate("CNOT", NoiseSpec(args.noise, args.q1, args.q2))

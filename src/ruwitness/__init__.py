@@ -19,7 +19,6 @@ _SUBMODULE = {
     "GATE_NAMES": "thresholds",
     "NOISE_KINDS": "thresholds",
     "PAULIS": "linalg",
-    "ChoiState": "choi",
     "EstimateResult": "protocol",
     "KrausChannel": "channels",
     "NoiseSpec": "robustness",
@@ -29,13 +28,10 @@ _SUBMODULE = {
     "Witness": "witness",
     "all_pauli_strings": "linalg",
     "amplitude_damping": "channels",
-    "apply": "channels",
     "beta_sru": "witness",
     "bit_flip": "channels",
     "build_witness": "witness",
-    "choi_of": "choi",
     "closed_form": "robustness",
-    "compose": "channels",
     "cover_exists": "witness",
     "dephasing": "channels",
     "depolarising": "channels",
@@ -44,20 +40,14 @@ _SUBMODULE = {
     "expectation": "witness",
     "gate_matrix": "channels",
     "haar_unitary": "channels",
-    "identity_channel": "channels",
-    "is_hermitian": "linalg",
-    "is_psd": "linalg",
-    "kron": "linalg",
     "minimal_settings": "witness",
     "noisy_gate": "robustness",
     "numeric_expectation": "robustness",
     "gate_witness": "witness",
-    "partial_trace": "linalg",
     "pauli_channel": "channels",
     "pauli_decompose": "witness",
     "sample_sru": "channels",
     "sweep": "robustness",
-    "tensor": "channels",
     "threshold": "thresholds",
     "unitary_channel": "channels",
     "validate_cpt": "channels",

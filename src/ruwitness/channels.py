@@ -4,23 +4,24 @@ A channel is a completely positive trace-preserving (CPT) map stored as one
 read-only complex ``(n_kraus, dim, dim)`` array of Kraus operators ``A_k``
 with ``sum_k A_k^dag A_k = 1``; every function here reads that array whole,
 with no loop over operators.  This module provides the gate set used by the
-witness construction, the four standard single-qubit noise models, channel
-algebra (tensoring, sequential composition, application to density
-matrices) and a seeded sampler for separable random-unitary channels.
+witness construction, the four standard single-qubit noise models, the
+Kraus form of noisy gates composed from Pauli transfer matrices and a
+seeded sampler for separable random-unitary channels.  It holds no channel
+algebra: nothing in the pipeline tensors, composes or applies channels.
 
 Conventions
 -----------
 * Gates use the big-endian qubit order: the control of CNOT/CZ is the most
   significant qubit.
 * Kraus operators that are exactly the zero matrix are dropped on
-  construction, and non-finite entries are rejected.  tensor/compose
-  multiply Kraus counts (first argument outer); noisy gates are composed
-  from table noise Pauli transfer matrices (PTMs) and have at most 16, one
-  per eigenvalue of their Choi matrix above round-off.  A Kraus list is CP
-  by construction, so :func:`validate_cpt` checks the one property it can lack.
+  construction, and non-finite entries are rejected.  Noisy gates are
+  composed from table noise Pauli transfer matrices (PTMs) and have at most
+  16 Kraus operators, one per eigenvalue of their Choi matrix above
+  round-off.  A Kraus list is CP by construction, so :func:`validate_cpt`
+  checks the one property it can lack.
 * A Kraus list is only unique up to a unitary gauge, so channel equality
   is never defined entrywise on Kraus operators; compare Choi states
-  instead (see :mod:`ruwitness.choi`).
+  instead, through ``tests/oracles.py::choi_of``.
 
 Noise models (single qubit, strength ``q`` resp. ``gamma``):
 
@@ -38,13 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    PAULI_X,
-    PAULI_Z,
-    is_density_matrix,
-    pauli_basis,
-)
+from .linalg import DEFAULT_TOL, PAULI_X, PAULI_Z, pauli_basis
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -110,10 +105,6 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel(u.shape[0], (u,))
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    return unitary_channel(np.eye(dim, dtype=complex))
-
-
 def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Check the completeness relation ||sum A^dag A - 1||_max <= tol."""
     s = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
@@ -161,21 +152,6 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     return KrausChannel(2, (a1, a2))
 
 
-def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Parallel application a ⊗ b; Kraus set is all pairwise Kronecker products, a-outer."""
-    d = a.dim * b.dim
-    outer = a.kraus[:, None, :, None, :, None] * b.kraus[:, None, :, None, :]  # [x, y, i, k, j, l]
-    return KrausChannel(d, outer.reshape(-1, d, d))
-
-
-def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
-    """Sequential composition after∘before (``before`` acts first)."""
-    if after.dim != before.dim:
-        raise ValueError(f"dimension mismatch: {after.dim} vs {before.dim}")
-    d = after.dim
-    return KrausChannel(d, (after.kraus[:, None] @ before.kraus).reshape(-1, d, d))
-
-
 @lru_cache(maxsize=None)
 def _gate_ptm(name: str) -> np.ndarray:
     """Pauli transfer matrix R_ij = Tr[P_i U P_j U^dag] / 4 of a named two-qubit gate."""
@@ -207,16 +183,6 @@ def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausCh
     if not validate_cpt(ch):
         raise ValueError("channel is not trace preserving")
     return ch
-
-
-def apply(ch: KrausChannel, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Apply the channel to a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {ch.dim}")
-    if not is_density_matrix(rho, tol):
-        raise ValueError("input is not a valid density matrix")
-    return np.einsum("kij,jl,kml->im", ch.kraus, rho, ch.kraus.conj())  # sum_k A_k rho A_k^dag
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

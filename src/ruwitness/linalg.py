@@ -8,15 +8,15 @@ mutate their inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
 import numpy as np
 
-# Single default for Hermiticity / positivity / trace checks.  Every
-# construction in the package is exact up to double rounding, so one loose
-# tolerance suffices; callers can override per call.
+# Single default for the positivity and trace-preservation checks of
+# channels.  Every construction in the package is exact up to double
+# rounding, so one loose tolerance suffices; callers can override per call.
 DEFAULT_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -31,50 +31,10 @@ for _m in PAULIS.values():
 del _m
 
 
-def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left factor most significant."""
-    if not factors:
-        raise ValueError("kron needs at least one factor")
-    return reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors))
-
-
 def all_pauli_strings(n_qubits: int = 4) -> Iterator[str]:
     """All n-qubit Pauli strings in lexicographic order (IIII first)."""
     for labels in product("IXYZ", repeat=n_qubits):
         yield "".join(labels)
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol.  Input must be Hermitian."""
-    if not is_hermitian(a, tol):
-        raise ValueError("is_psd expects a Hermitian matrix")
-    eigs = np.linalg.eigvalsh(np.asarray(a))
-    return bool(eigs[0] >= -tol)
-
-
-def is_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
-        return False
-    if abs(np.trace(rho) - 1) > tol:
-        return False
-    return is_psd(rho, tol)
-
-
-def partial_trace(mat: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite operator on dims[0]*dims[1]."""
-    d1, d2 = dims
-    t = np.asarray(mat).reshape(d1, d2, d1, d2)
-    if keep == 0:
-        return np.einsum("abcb->ac", t)
-    if keep == 1:
-        return np.einsum("abad->bd", t)
-    raise ValueError("keep must be 0 or 1")
 
 
 @lru_cache(maxsize=4)

@@ -15,6 +15,12 @@ strings (its axes on a subset of the qubits, I elsewhere), and its Born
 vector is the Walsh-Hadamard transform of their components Tr[C (P ⊗ Q)]
 on the Choi state C, which the estimator forms from the Kraus stack.
 
+The Choi state of a channel M is ``C_M = (M ⊗ id)[|alpha><alpha|]`` with
+``|alpha> = (1/2) sum_k |k>|k>``, a 16x16 density matrix whose qubits are
+ordered A, B (channel output) then C, D (reference), big-endian.  Since
+``|alpha>_ABCD = |alpha>_AC ⊗ |alpha>_BD``, every separability statement
+about random-unitary channels lives in the AC|BD split.
+
 The term assignment, the sign rows and the indices of each setting's
 strings are compiled once into a measurement plan kept on the witness's
 cached decomposition.

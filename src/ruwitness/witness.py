@@ -85,8 +85,8 @@ def build_witness(
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
     if beta < exact - 1e-12:
         raise ValueError(f"beta {beta!r} is below the exact offset {exact!r}")
-    # beta_sru has checked that u is a finite unitary, so its Choi state is the
-    # rank-one projector onto rowvec(U)/2, the expression choi_of evaluates
+    # beta_sru has checked that u is a finite unitary, so its Choi state
+    # (1/4) sum_k rowvec(A_k) rowvec(A_k)^dag is the projector onto rowvec(U)/2
     u = np.asarray(u, dtype=complex)
     v = u.reshape(1, 16) / 2
     matrix = beta * np.eye(16) - np.einsum("ki,kj->ij", v, v.conj())

@@ -1,19 +1,22 @@
 """Independent second routes for the test suite.
 
-``kraus_noisy_gate`` composes a noisy gate by pairwise products of the
-Kraus lists of its parts (256 operators under depolarising noise).  It is
-the first-principles reference for ``ruwitness.robustness.noisy_gate``,
-which composes Pauli transfer matrices.
+``choi_of`` is the Choi matrix (M ⊗ id)[|alpha><alpha|] of a channel, in
+the convention of ``ruwitness.protocol``: (1/d) sum_k rowvec(A_k)
+rowvec(A_k)^dag, with no check.  Channels are equal when their Choi
+matrices are.  ``partial_trace``, ``is_hermitian`` and ``is_psd`` are the
+matrix predicates the Choi-state tests read.
 
-``loop_tensor`` and ``loop_compose`` are ``tensor`` and ``compose`` as they
-were when a channel held a tuple of Kraus matrices: one ``np.kron`` or one
-matrix product per pair of operators.  They are the reference for the
-broadcast forms in ``ruwitness.channels``, which must give the same
-operators in the same order.
+``loop_tensor`` and ``loop_compose`` are the Kraus algebra of the tests:
+one ``np.kron`` or one matrix product per pair of operators, first
+argument outer.  ``kraus_noisy_gate`` composes a noisy gate with them, by
+pairwise products of the Kraus lists of its parts (256 operators under
+depolarising noise).  It is the first-principles reference for
+``ruwitness.robustness.noisy_gate``, which composes Pauli transfer
+matrices, and for the Kraus route of ``ruwitness.selftest``.
 
 ``reference_estimate`` is the shot estimator as it was before the
 measurement plan: it decomposes the witness, assigns terms and builds each
-setting's sign rows with ``kron`` on every call.  It is the reference for
+setting's sign rows with ``np.kron`` on every call.  It is the reference for
 ``ruwitness.protocol``, which compiles all of that once per witness; it
 takes its Born vectors from the production route, so the two must agree
 bit for bit, sampling included.
@@ -69,8 +72,9 @@ pipeline runs them.  ``overlap_direct``, ``overlap_kraus``
 and ``overlap_basis`` compute the channel overlap Tr[C_M C_L] three ways:
 the trace of the product of the two Choi matrices, (1/d^2) sum_{k,l}
 |Tr[A_k^dag B_l]|^2 over Kraus operators, and (1/d^2) sum_{i,j}
-Tr[M(|i><j|) L(|j><i|)] over matrix-unit images.  ``apply_via_choi`` reads
-the channel action off the Choi state, ``expectation_via_choi`` the witness
+Tr[M(|i><j|) L(|j><i|)] over matrix-unit images.  ``_kraus_image`` is the
+channel action sum_k A_k X A_k^dag, ``apply_via_choi`` reads the same action
+off the Choi state, ``expectation_via_choi`` the witness
 expectation, and ``setting_distribution`` the Born probabilities of one
 local setting as the estimator reads them.  ``permute_qubits`` reorders
 tensor factors, which shows the AC|BD factorisation of
@@ -80,10 +84,11 @@ outside the random-unitary set.
 ``reference_validate_choi`` is the Choi-matrix validator the package ran
 before Kraus-built channels were checked by trace preservation alone: it
 tests Hermiticity, positivity, unit trace and the reference marginal.  It
-is the reference that ``ruwitness.choi.choi_of`` must reject a superset of.
+is the reference that ``ruwitness.channels.validate_cpt`` must reject a
+superset of.
 
 ``reference_pauli_basis`` stacks the Pauli strings as they were before the
-basis was built by broadcasting: one ``kron`` chain per string.  It is the
+basis was built by broadcasting: one ``np.kron`` chain per string.  It is the
 reference for ``ruwitness.linalg.pauli_basis``.  ``reference_decompose`` is
 the Pauli split as it was before it became one matrix-vector product: an
 einsum over the 256 strings of that basis and one Python ``round`` per
@@ -97,7 +102,7 @@ lexicographically smallest minimum cover.
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import ceil
 
@@ -105,20 +110,40 @@ import numpy as np
 import sympy
 from scipy.optimize import minimize
 
-from ruwitness.channels import KrausChannel, _gate_ptm, compose, gate_matrix, tensor, unitary_channel
-from ruwitness.choi import choi_of
-from ruwitness.linalg import PAULIS, all_pauli_strings, is_hermitian, kron, partial_trace
+from ruwitness.channels import KrausChannel, _gate_ptm, gate_matrix, unitary_channel
+from ruwitness.linalg import PAULIS, all_pauli_strings
 from ruwitness.protocol import EstimateResult, _outcome_probabilities, _substrings
 from ruwitness.robustness import _NOISES, SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
 from ruwitness.witness import ALL_SETTINGS, minimal_settings, pauli_decompose, setting_covers
 
 
-def kraus_noisy_gate(gate: str, noise):
-    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1) by pairwise Kraus products."""
-    pre = single_qubit_noise(noise.kind, noise.q1)
-    post = single_qubit_noise(noise.kind, noise.q2)
-    return compose(tensor(post, post), compose(unitary_channel(gate_matrix(gate)), tensor(pre, pre)))
+def choi_of(ch: KrausChannel) -> np.ndarray:
+    """The d^2 x d^2 Choi matrix (1/d) sum_k rowvec(A_k) rowvec(A_k)^dag, by the identity
+    (A ⊗ 1)|alpha> = rowvec(A)/sqrt(d)."""
+    d = ch.dim
+    vecs = ch.kraus.reshape(ch.n_kraus, d * d) / np.sqrt(d)
+    return np.einsum("ki,kj->ij", vecs, vecs.conj())
+
+
+def partial_trace(mat: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Trace out one factor of a bipartite operator on dims[0]*dims[1]."""
+    d1, d2 = dims
+    t = np.asarray(mat).reshape(d1, d2, d1, d2)
+    if keep == 0:
+        return np.einsum("abcb->ac", t)
+    if keep == 1:
+        return np.einsum("abad->bd", t)
+    raise ValueError("keep must be 0 or 1")
+
+
+def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
+    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+
+
+def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
+    """Hermitian, with no eigenvalue below -tol."""
+    return is_hermitian(a, tol) and bool(np.linalg.eigvalsh(a)[0] >= -tol)
 
 
 def loop_tensor(a, b):
@@ -129,6 +154,14 @@ def loop_tensor(a, b):
 def loop_compose(after, before):
     """after∘before with one matrix product per pair of Kraus operators, after-outer."""
     return KrausChannel(after.dim, tuple(b @ a for b in after.kraus for a in before.kraus))
+
+
+def kraus_noisy_gate(gate: str, noise):
+    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1) by pairwise Kraus products."""
+    pre = single_qubit_noise(noise.kind, noise.q1)
+    post = single_qubit_noise(noise.kind, noise.q2)
+    core = loop_compose(unitary_channel(gate_matrix(gate)), loop_tensor(pre, pre))
+    return loop_compose(loop_tensor(post, post), core)
 
 
 # Single-qubit noise PTMs in the Pauli order I, X, Y, Z as integer matrix
@@ -257,15 +290,15 @@ _EIGENBASIS = {
 
 def rotation_born_vectors(ch: KrausChannel, settings) -> np.ndarray:
     """(n, 16) Born vectors diag(R^dag C R), one local rotation R per setting."""
-    c = choi_of(ch).matrix
-    rotations = [kron(*[_EIGENBASIS[a] for a in setting]) for setting in settings]
+    c = choi_of(ch)
+    rotations = [reduce(np.kron, [_EIGENBASIS[a] for a in setting]) for setting in settings]
     return np.array([np.real(np.diag(r.conj().T @ c @ r)) for r in rotations]).reshape(-1, 16)
 
 
 def _outcome_signs(string: str) -> np.ndarray:
     """Eigenvalue product of a Pauli string per outcome: the diagonal of its Z-type twin."""
     factors = [np.eye(2) if p == "I" else np.diag([1.0, -1.0]) for p in string]
-    return np.real(np.diag(kron(*factors)))
+    return np.real(np.diag(reduce(np.kron, factors)))
 
 
 def reference_estimate(w, ch, plan=None, settings=None):
@@ -409,9 +442,9 @@ def beta_search(
 
 @lru_cache(maxsize=None)
 def reference_pauli_basis(n_qubits: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """All n-qubit Pauli strings and their matrices, one ``kron`` chain per string."""
+    """All n-qubit Pauli strings and their matrices, one ``np.kron`` chain per string."""
     strings = tuple(all_pauli_strings(n_qubits))
-    stack = np.stack([kron(*(PAULIS[c] for c in s)) for s in strings])
+    stack = np.stack([reduce(np.kron, (PAULIS[c] for c in s)) for s in strings])
     stack.setflags(write=False)
     return strings, stack
 
@@ -503,9 +536,9 @@ def max_entangled(d: int) -> np.ndarray:
     return v
 
 
-def purity(c) -> float:
-    """Tr[C^2] of a Choi state; equals 1 exactly when the channel is unitary."""
-    return real_part(np.einsum("ij,ji->", c.matrix, c.matrix), tol=1e-9)
+def purity(c: np.ndarray) -> float:
+    """Tr[C^2] of a Choi matrix; equals 1 exactly when the channel is unitary."""
+    return real_part(np.einsum("ij,ji->", c, c), tol=1e-9)
 
 
 def permute_qubits(state: np.ndarray, perm) -> np.ndarray:
@@ -528,11 +561,9 @@ def permute_qubits(state: np.ndarray, perm) -> np.ndarray:
     raise ValueError("state must be a vector or a square matrix")
 
 
-def overlap_direct(c1, c2) -> float:
-    """Tr[C1 C2] for two Choi states (real since both are Hermitian PSD)."""
-    if c1.dim_in != c2.dim_in:
-        raise ValueError(f"dimension mismatch: {c1.dim_in} vs {c2.dim_in}")
-    return real_part(hs_inner(c1.matrix, c2.matrix))
+def overlap_direct(c1: np.ndarray, c2: np.ndarray) -> float:
+    """Tr[C1 C2] for two Choi matrices (real since both are Hermitian PSD)."""
+    return real_part(hs_inner(c1, c2))
 
 
 def overlap_kraus(m: KrausChannel, l: KrausChannel) -> float:
@@ -562,18 +593,17 @@ def overlap_basis(m: KrausChannel, l: KrausChannel) -> float:
     return real_part(total / d**2)
 
 
-def apply_via_choi(c, rho: np.ndarray) -> np.ndarray:
+def apply_via_choi(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """M(rho) = d * Tr_2[ C_M (1 ⊗ rho^T) ], the inverse direction of the isomorphism."""
-    d = c.dim_in
     rho = np.asarray(rho, dtype=complex)
-    m = c.matrix @ np.kron(np.eye(d), rho.T)
+    d = len(rho)
+    m = c @ np.kron(np.eye(d), rho.T)
     return d * partial_trace(m, (d, d), keep=0)
 
 
 def expectation_via_choi(w, m: KrausChannel) -> float:
     """Tr[W C_M] through the explicit Choi matrix."""
-    c = choi_of(m)
-    return real_part(np.einsum("ij,ji->", w.matrix, c.matrix), tol=1e-9)
+    return real_part(np.einsum("ij,ji->", w.matrix, choi_of(m)), tol=1e-9)
 
 
 def sample_channel(dim: int, terms: int, seed: int = 0) -> KrausChannel:

@@ -2,36 +2,38 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
 from ruwitness.channels import (
     KrausChannel,
     amplitude_damping,
-    apply,
     bit_flip,
-    compose,
     dephasing,
     depolarising,
     gate_matrix,
     haar_unitary,
-    identity_channel,
     pauli_channel,
     sample_sru,
-    tensor,
     unitary_channel,
     validate_cpt,
 )
-from ruwitness.choi import choi_of
 from ruwitness.linalg import PAULI_X, PAULI_Z
 
-from oracles import loop_compose, loop_tensor, sample_channel
+from oracles import (
+    _kraus_image,
+    choi_of,
+    loop_compose,
+    loop_tensor,
+    reference_validate_choi,
+    sample_channel,
+)
 
 
 def choi_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-12) -> bool:
     """Channel equality is Choi-state equality, not Kraus-list equality."""
-    return np.max(np.abs(choi_of(a).matrix - choi_of(b).matrix)) <= tol
+    return np.max(np.abs(choi_of(a) - choi_of(b))) <= tol
 
 
 class TestGates:
@@ -75,6 +77,30 @@ class TestValidateCpt:
         for bad in ((np.eye(3, dtype=complex),), np.eye(2), [np.eye(2), np.eye(3)]):
             with pytest.raises(ValueError):
                 KrausChannel(2, bad)
+
+    def test_rejects_channels_that_are_not_cpt(self):
+        assert not validate_cpt(KrausChannel(2, [2 * np.eye(2)]))
+        # CP with a unit-trace Choi state, not TP
+        assert not validate_cpt(KrausChannel(2, [np.diag([np.sqrt(1.5), np.sqrt(0.5)])]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 10**6), st.sampled_from([2, 4]), st.integers(1, 5),
+        st.booleans(), st.floats(-13, 0),
+    )
+    def test_rejects_whatever_the_choi_matrix_validator_rejects(self, seed, dim, terms, tp, log_eps):
+        # off TP, sum A^dag A = (1 + eps) 1; at eps = tol both checks read round-off
+        assume(tp or abs(log_eps + 10) > 1e-3)
+        ch = sample_channel(dim, terms, seed)
+        if not tp:
+            ch = KrausChannel(dim, ch.kraus * np.sqrt(1 + 10**log_eps))
+        try:
+            reference_validate_choi(choi_of(ch), dim, 1e-10)
+        except ValueError:
+            assert not tp
+            assert not validate_cpt(ch, 1e-10)
+        if tp:
+            assert validate_cpt(ch, 1e-10)
 
 
 class TestKrausArray:
@@ -177,65 +203,51 @@ class TestAmplitudeDamping:
 
 
 class TestAlgebra:
+    """The Kraus algebra of the tests, ``loop_tensor`` and ``loop_compose``."""
+
     def test_tensor_identities(self):
-        assert choi_equal(tensor(identity_channel(2), identity_channel(2)), identity_channel(4))
+        assert choi_equal(loop_tensor(unitary_channel(np.eye(2)), unitary_channel(np.eye(2))), unitary_channel(np.eye(4)))
 
     def test_tensor_kraus_counts(self):
-        assert tensor(depolarising(0.5), depolarising(0.5)).n_kraus == 16
-        assert tensor(amplitude_damping(0.5), amplitude_damping(0.5)).n_kraus == 4
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_array_forms_match_loop_forms(self, dim):
-        """tensor and compose give the loop forms' operators, bit for bit and in order."""
-        for n_a in range(1, 5):
-            for n_b in range(1, 5):
-                a = sample_channel(dim, n_a, seed=10 * n_a + n_b)
-                b = sample_channel(dim, n_b, seed=100 + 10 * n_a + n_b)
-                assert np.array_equal(tensor(a, b).kraus, loop_tensor(a, b).kraus)
-                assert np.array_equal(compose(a, b).kraus, loop_compose(a, b).kraus)
+        assert loop_tensor(depolarising(0.5), depolarising(0.5)).n_kraus == 16
+        assert loop_tensor(amplitude_damping(0.5), amplitude_damping(0.5)).n_kraus == 4
 
     def test_compose_unitaries(self):
         u, v = gate_matrix("CNOT"), gate_matrix("CZ")
         assert choi_equal(
-            compose(unitary_channel(u), unitary_channel(v)), unitary_channel(u @ v)
+            loop_compose(unitary_channel(u), unitary_channel(v)), unitary_channel(u @ v)
         )
 
     def test_compose_with_identity(self):
         ch = depolarising(0.3)
-        assert choi_equal(compose(identity_channel(2), ch), ch)
-        assert choi_equal(compose(ch, identity_channel(2)), ch)
-
-    def test_compose_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(identity_channel(2), identity_channel(4))
+        assert choi_equal(loop_compose(unitary_channel(np.eye(2)), ch), ch)
+        assert choi_equal(loop_compose(ch, unitary_channel(np.eye(2))), ch)
 
     def test_cz_commutes_with_two_sided_dephasing(self):
         cz = unitary_channel(gate_matrix("CZ"))
         for q in (0.1, 0.5, 0.9):
-            noise = tensor(dephasing(q), dephasing(q))
-            assert choi_equal(compose(noise, cz), compose(cz, noise), tol=1e-12)
+            noise = loop_tensor(dephasing(q), dephasing(q))
+            assert choi_equal(loop_compose(noise, cz), loop_compose(cz, noise), tol=1e-12)
 
 
 class TestApply:
+    """Physics of the Kraus action sum_k A_k rho A_k^dag."""
+
     def test_full_depolarisation(self):
         rho = random_density(2, seed=5)
-        assert np.allclose(apply(depolarising(1.0), rho), np.eye(2) / 2)
+        assert np.allclose(_kraus_image(depolarising(1.0), rho), np.eye(2) / 2)
 
     def test_bit_flip_unitary(self):
         ket0 = np.diag([1.0, 0.0]).astype(complex)
         ket1 = np.diag([0.0, 1.0]).astype(complex)
-        assert np.allclose(apply(unitary_channel(PAULI_X), ket0), ket1)
+        assert np.allclose(_kraus_image(unitary_channel(PAULI_X), ket0), ket1)
 
     def test_half_dephasing_kills_coherence(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
         # independent oracle: evaluate the Kraus sum by hand
         expected = 0.5 * plus + 0.5 * (PAULI_Z @ plus @ PAULI_Z)
         assert np.allclose(expected, np.eye(2) / 2)
-        assert np.allclose(apply(dephasing(0.5), plus), np.eye(2) / 2)
-
-    def test_rejects_invalid_state(self):
-        with pytest.raises(ValueError):
-            apply(depolarising(0.1), np.diag([1.0, 1.0]).astype(complex))
+        assert np.allclose(_kraus_image(dephasing(0.5), plus), np.eye(2) / 2)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10**6))
@@ -243,7 +255,7 @@ class TestApply:
         rng = np.random.default_rng(seed)
         ch = sample_channel(4, terms=int(rng.integers(1, 5)), seed=seed)
         rho = random_density(4, seed=seed + 1)
-        out = apply(ch, rho)
+        out = _kraus_image(ch, rho)
         assert abs(np.trace(out) - 1) < 1e-10
         assert np.max(np.abs(out - out.conj().T)) < 1e-10
         assert np.linalg.eigvalsh(out)[0] > -1e-10

@@ -8,9 +8,7 @@ from ruwitness.channels import (
     depolarising,
     gate_matrix,
     haar_unitary,
-    identity_channel,
     sample_sru,
-    tensor,
     unitary_channel,
 )
 from ruwitness.linalg import all_pauli_strings
@@ -35,7 +33,13 @@ from ruwitness.witness import (
     pauli_decompose,
 )
 
-from oracles import reference_estimate, rotation_born_vectors, sample_channel, setting_distribution
+from oracles import (
+    loop_tensor,
+    reference_estimate,
+    rotation_born_vectors,
+    sample_channel,
+    setting_distribution,
+)
 
 
 def _cnot_channel():
@@ -84,14 +88,14 @@ class TestSettingDistribution:
     def test_identity_channel_zzzz_parities(self):
         # Bell pairs across AC and BD: outcomes must satisfy o_A = o_C and
         # o_B = o_D, uniformly over the four allowed patterns
-        p = setting_distribution(identity_channel(4), "ZZZZ")
+        p = setting_distribution(unitary_channel(np.eye(4)), "ZZZZ")
         for outcome in range(16):
             a, b, c, d = (outcome >> 3) & 1, (outcome >> 2) & 1, (outcome >> 1) & 1, outcome & 1
             expected = 0.25 if (a == c and b == d) else 0.0
             assert p[outcome] == pytest.approx(expected, abs=1e-12)
 
     def test_fully_depolarised_is_uniform(self):
-        ch = tensor(depolarising(1.0), depolarising(1.0))
+        ch = loop_tensor(depolarising(1.0), depolarising(1.0))
         p = setting_distribution(ch, "XZYX")
         assert np.allclose(p, np.full(16, 1 / 16))
 
@@ -111,7 +115,7 @@ class TestSettingDistribution:
         with pytest.raises(ValueError):
             setting_distribution(_cnot_channel(), "XXQX")
         with pytest.raises(ValueError):
-            setting_distribution(identity_channel(2), "XXXX")
+            setting_distribution(unitary_channel(np.eye(2)), "XXXX")
 
 
 class TestBornVectors:
@@ -132,7 +136,7 @@ class TestBornVectors:
     def test_sampled_and_identity_channels(self):
         for seed in range(20):
             self._check(sample_sru(1 + seed % 4, seed=seed))
-        self._check(identity_channel(4))
+        self._check(unitary_channel(np.eye(4)))
         for seed in range(5):
             self._check(sample_channel(4, terms=3, seed=seed))
 
@@ -171,7 +175,7 @@ class TestExactEstimator:
         # fully depolarising both qubits kills every non-identity term, so
         # the estimate is exactly the identity coefficient 7/16
         w = gate_witness("CNOT")
-        ch = tensor(depolarising(1.0), depolarising(1.0))
+        ch = loop_tensor(depolarising(1.0), depolarising(1.0))
         result = estimate_expectation_exact(w, ch)
         assert result.estimate == float(7 / 16)
 
@@ -239,8 +243,8 @@ class TestMeasurementPlan:
         cases = [
             (ch, settings[1:]),  # only XXXX covers XIXX
             (ch, ("XXQX",) + settings[1:]),
-            (identity_channel(2), settings),
-            (identity_channel(2), None),
+            (unitary_channel(np.eye(2)), settings),
+            (unitary_channel(np.eye(2)), None),
         ]
         for channel, chosen in cases:
             for _ in range(3):
@@ -253,7 +257,7 @@ class TestMeasurementPlan:
 
     def test_identity_only_witness_needs_no_settings(self):
         w = Witness(beta=0.25, unitary=np.eye(4), matrix=0.25 * np.eye(16))
-        ch = identity_channel(4)
+        ch = unitary_channel(np.eye(4))
         for result in (estimate_expectation(w, ch, ShotPlan(100, 1)),
                        estimate_expectation_exact(w, ch)):
             assert result == EstimateResult(0.25, 0.0, ())
@@ -322,7 +326,7 @@ class TestSampledEstimator:
     def test_identity_channel_within_three_sigma(self):
         w = gate_witness("CNOT")
         plan = ShotPlan(shots_per_setting=100_000, seed=11)
-        result = estimate_expectation(w, identity_channel(4), plan)
+        result = estimate_expectation(w, unitary_channel(np.eye(4)), plan)
         assert result.std_error > 0
         assert abs(result.estimate - 0.25) <= 3 * result.std_error
         assert not result.detected

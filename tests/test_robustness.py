@@ -10,17 +10,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruwitness import channels, selftest
 from ruwitness.channels import (
     KrausChannel,
     _gate_ptm,
     _noisy_gate_channel,
-    compose,
+    bit_flip,
     gate_matrix,
-    identity_channel,
     unitary_channel,
     validate_cpt,
 )
-from ruwitness.choi import choi_of
 from ruwitness.robustness import (
     GATE_NAMES,
     NOISE_KINDS,
@@ -46,10 +45,12 @@ from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial, _value
 from ruwitness.witness import expectation, gate_witness
 
 from oracles import (
+    choi_of,
     gate_ptm_int,
     hand_closed_form,
     kraus_noisy_gate,
     kraus_ptm,
+    loop_compose,
     ptm_slice_polynomial,
     ptm_table,
     reference_sweep_rows,
@@ -115,7 +116,7 @@ class TestNoisyGate:
         for kind in NOISE_KINDS:
             ch = noisy_gate("CNOT", NoiseSpec(kind, 0.0, 0.0))
             bare = unitary_channel(gate_matrix("CNOT"))
-            assert np.max(np.abs(choi_of(ch).matrix - choi_of(bare).matrix)) < 1e-12
+            assert np.max(np.abs(choi_of(ch) - choi_of(bare))) < 1e-12
 
     def test_depolarising_kraus_count(self):
         ch = noisy_gate("CNOT", NoiseSpec("depolarising", 0.4, 0.4))
@@ -127,8 +128,8 @@ class TestNoisyGate:
         for q1, q2 in itertools.product(grid, grid):
             noise = NoiseSpec(kind, q1, q2)
             ch = noisy_gate(gate, noise)
-            choi = choi_of(ch).matrix
-            reference = choi_of(kraus_noisy_gate(gate, noise)).matrix
+            choi = choi_of(ch)
+            reference = choi_of(kraus_noisy_gate(gate, noise))
             assert np.max(np.abs(choi - reference)) < 1e-12, (q1, q2)
             assert ch.n_kraus == np.linalg.matrix_rank(choi) <= 16, (q1, q2)
             assert validate_cpt(ch), (q1, q2)
@@ -148,16 +149,12 @@ class TestNoisyGate:
         with pytest.raises(ValueError, match="not trace preserving"):
             _noisy_gate_channel("CZ", lossy, _noise_ptm("dephasing", 0.0))
 
-    def test_derived_channels_keep_no_choi_state(self, monkeypatch):
+    def test_derived_channels_keep_no_choi_state(self):
         ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.3, 0.6))
         assert set(vars(ch)) == {"dim", "kraus"}
-        calls = []
-        monkeypatch.setattr("ruwitness.choi.validate_cpt", lambda *a: calls.append(a) or validate_cpt(*a))
-        for derived in (ch, KrausChannel(4, ch.kraus), compose(identity_channel(4), ch)):
-            vecs = derived.kraus.reshape(derived.n_kraus, 16) / 2.0
-            expected = np.einsum("ki,kj->ij", vecs, vecs.conj())
-            assert np.array_equal(choi_of(derived).matrix, expected)
-        assert len(calls) == 3
+        for derived in (KrausChannel(4, ch.kraus), loop_compose(unitary_channel(np.eye(4)), ch)):
+            assert set(vars(derived)) == {"dim", "kraus"} and validate_cpt(derived)
+            assert np.max(np.abs(choi_of(derived) - choi_of(ch))) < 1e-15
 
     def test_amplitude_damping_one_sided_count(self):
         ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.4, 0.0))
@@ -173,6 +170,26 @@ class TestNoisyGate:
         assert np.array_equal(r, gate_ptm_int(gate))
         assert np.array_equal(r, kraus_ptm(unitary_channel(gate_matrix(gate))))
         assert not r.flags.writeable
+
+
+class TestSelftestRoutes:
+    """The selftest's own routes are independent of the tables and can fail."""
+
+    def test_cz_check_fails_on_noise_that_does_not_commute(self, monkeypatch):
+        selftest.check_cz_dephasing_commutation()
+        monkeypatch.setattr(channels, "dephasing", bit_flip)
+        with pytest.raises(AssertionError):
+            selftest.check_cz_dephasing_commutation()
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_local_pair_route_matches_kraus_composition(self, gate, kind):
+        u = gate_matrix(gate)
+        for q1, q2 in [(0.0, 0.0), (0.35, 0.15), (0.5, 1.0), (1.0, 0.7)]:
+            core = u @ selftest._local_pair(single_qubit_noise(kind, q1))
+            post = selftest._local_pair(single_qubit_noise(kind, q2))
+            route = KrausChannel(4, (post[:, None] @ core).reshape(-1, 4, 4))
+            reference = kraus_noisy_gate(gate, NoiseSpec(kind, q1, q2))
+            assert np.max(np.abs(choi_of(route) - choi_of(reference))) < 1e-12, (q1, q2)
 
 
 class TestClosedForm:

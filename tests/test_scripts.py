@@ -95,3 +95,21 @@ def test_detection_regions_writes_library_csvs(run_script, tmp_path):
 
 def test_shot_convergence_runs(run_script):
     assert run_script("shot_convergence.py") == 0
+
+
+@pytest.mark.parametrize("name,args", [
+    ("shot_convergence.py", ["--noise", "bogus"]),
+    ("shot_convergence.py", ["--q1", "2"]),
+    ("shot_convergence.py", ["--q2", "nan"]),
+    ("shot_convergence.py", ["--seed", "-1"]),
+    ("detection_regions.py", ["--grid", "1", "--out-dir", "{tmp}"]),
+])
+def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, name, args):
+    main = runpy.run_path(str(SCRIPTS / name))["main"]
+    monkeypatch.setattr(sys, "argv", [name, *(arg.format(tmp=tmp_path) for arg in args)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{name}: error: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

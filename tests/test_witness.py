@@ -12,13 +12,10 @@ from ruwitness.channels import (
     depolarising,
     gate_matrix,
     haar_unitary,
-    identity_channel,
     sample_sru,
     unitary_channel,
 )
-from ruwitness.choi import choi_of
 from ruwitness import witness as witness_module
-from ruwitness.linalg import is_psd, kron, partial_trace
 from ruwitness.witness import (
     ALL_SETTINGS,
     PauliDecomposition,
@@ -36,9 +33,12 @@ from ruwitness.witness import (
 from golden import CNOT_TERMS, CZ_COVER, CZ_TERMS, KNOWN_CNOT_COVER
 from oracles import (
     beta_search,
+    choi_of,
     expectation_via_choi,
+    is_psd,
     max_entangled,
     overlap_direct,
+    partial_trace,
     reference_best_cover,
     reference_decompose,
     sample_channel,
@@ -59,7 +59,7 @@ ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
 
 
 def _local(rng):
-    return kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
 
 
 # exact offsets of gates whose magic-basis spectra repeat
@@ -127,7 +127,7 @@ class TestBeta:
 
     def test_product_unitary_gives_one(self):
         rng = np.random.default_rng(3)
-        u = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
         b = beta_sru(u, restarts=40, seed=1)
         assert b == pytest.approx(1.0, abs=1e-6)
         assert b <= 1 + 1e-8
@@ -234,10 +234,10 @@ class TestBuildWitness:
     def test_matrix_is_beta_identity_minus_choi(self):
         w = gate_witness("CNOT")
         c = choi_of(unitary_channel(gate_matrix("CNOT")))
-        assert np.max(np.abs(w.matrix - (0.5 * np.eye(16) - c.matrix))) == 0.0
+        assert np.max(np.abs(w.matrix - (0.5 * np.eye(16) - c))) == 0.0
         for name in ("CNOT", "CZ", "SWAP", "sqrtSWAP"):  # byte for byte, as the Kraus route
             u, beta = EXACT_BETA[name]
-            expected = beta * np.eye(16) - choi_of(unitary_channel(u)).matrix
+            expected = beta * np.eye(16) - choi_of(unitary_channel(u))
             assert build_witness(u, beta).matrix.tobytes() == expected.tobytes()
 
     def test_choi_state_is_the_kraus_routes_on_haar(self):
@@ -245,7 +245,7 @@ class TestBuildWitness:
         for _ in range(50):
             u = haar_unitary(4, rng)
             w = build_witness(u)
-            expected = w.beta * np.eye(16) - choi_of(unitary_channel(u)).matrix
+            expected = w.beta * np.eye(16) - choi_of(unitary_channel(u))
             assert w.matrix.tobytes() == expected.tobytes()
 
     def test_rank_one_choi_state_is_valid(self):
@@ -307,7 +307,7 @@ class TestBuildWitness:
     def test_nonnegative_on_extremal_product_states(self, seed):
         rng = np.random.default_rng(seed)
         w = gate_witness("CNOT" if seed % 2 else "CZ")
-        phi = kron(haar_unitary(2, rng), haar_unitary(2, rng), np.eye(4)) @ max_entangled(4)
+        phi = np.kron(np.kron(haar_unitary(2, rng), haar_unitary(2, rng)), np.eye(4)) @ max_entangled(4)
         value = np.real(phi.conj() @ w.matrix @ phi)
         assert value >= -1e-9
 
@@ -416,7 +416,7 @@ class TestPauliDecompose:
         u, _ = EXACT_BETA[name]
         for _ in range(6):
             a, b, c, d = (cliffords[i] for i in rng.integers(0, 24, 4))
-            decomp = pauli_decompose(build_witness(kron(a, b) @ u @ kron(c, d)))
+            decomp = pauli_decompose(build_witness(np.kron(a, b) @ u @ np.kron(c, d)))
             assert len(decomp.terms) == 16
             assert all(isinstance(coeff, Fraction) for coeff, _ in decomp.terms)
 
@@ -510,7 +510,7 @@ class TestMinimalSettings:
         u, _ = EXACT_BETA[name]
         for k in range(24):  # every Clifford in every slot
             a, b, c, d = (cliffords[(m * k + r) % 24] for m, r in ((1, 0), (7, 3), (11, 5), (13, 1)))
-            _assert_same_covers(pauli_decompose(build_witness(kron(a, b) @ u @ kron(c, d))))
+            _assert_same_covers(pauli_decompose(build_witness(np.kron(a, b) @ u @ np.kron(c, d))))
 
     @pytest.mark.parametrize("make", [
         lambda: SQRT_SWAP,
@@ -544,11 +544,11 @@ class TestMinimalSettings:
 class TestExpectation:
     def test_identity_channel_not_detected(self):
         w = gate_witness("CNOT")
-        assert expectation(w, identity_channel(4)) == pytest.approx(0.25)
+        assert expectation(w, unitary_channel(np.eye(4))) == pytest.approx(0.25)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            expectation(gate_witness("CNOT"), identity_channel(2))
+            expectation(gate_witness("CNOT"), unitary_channel(np.eye(2)))
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -597,10 +597,9 @@ def test_minimal_settings_runtime_budget():
     "make",
     [
         lambda: depolarising(0.1),
-        lambda: choi_of(depolarising(0.1)),
         lambda: build_witness(gate_matrix("CNOT")),
     ],
-    ids=["KrausChannel", "ChoiState", "Witness"],
+    ids=["KrausChannel", "Witness"],
 )
 def test_equality_is_identity_and_objects_hash(make):
     # ndarray fields have no truth value, so the objects compare by identity;
