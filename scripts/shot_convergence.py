@@ -9,6 +9,8 @@ Usage: python scripts/shot_convergence.py --q1 0.1 --q2 0.05 --seed 7
 """
 
 import argparse
+import os
+import sys
 
 from ruwitness.protocol import ShotPlan, estimate_expectation
 from ruwitness.robustness import NOISE_KINDS, NoiseSpec, noisy_gate
@@ -43,4 +45,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`| head`): print nothing more, as in the
+        # Python docs' note on SIGPIPE, and let the exit flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -13,6 +13,8 @@ Usage: python scripts/threshold_table.py [--json out.json]
 
 import argparse
 import math
+import os
+import sys
 
 from ruwitness.serialize import dumps, fmt12
 from ruwitness.thresholds import GATE_NAMES, NOISE_KINDS, THRESHOLD_MODES, threshold, threshold_json_obj
@@ -56,4 +58,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`| head`): print nothing more, as in the
+        # Python docs' note on SIGPIPE, and let the exit flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -5,6 +5,7 @@ All state comes from flags (no config files), numeric output is fixed at
 12 significant digits, and identical argv plus seed produce byte-identical
 output files.  Exit status: 0 success, 1 invalid input (an unwritable output
 path or a grid too large to hold included), 2 internal invariant failure.
+A reader that closes stdout early (``| head``) ends the run quietly with 1.
 
 Each handler imports the modules it runs, so a process pays only for its own
 subcommand: ``threshold`` loads no numpy, and ``witness`` and ``beta`` load
@@ -14,6 +15,7 @@ neither the robustness nor the protocol module.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -227,7 +229,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early (`| head`): print nothing more, as in the
+        # Python docs' note on SIGPIPE, and let the exit flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, MemoryError) as exc:  # an unwritable --out, a --grid too large
         print(f"ruwitness: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

@@ -19,7 +19,10 @@ measurement plan: it decomposes the witness, assigns terms and builds each
 setting's sign rows with ``np.kron`` on every call.  It is the reference for
 ``ruwitness.protocol``, which compiles all of that once per witness; it
 takes its Born vectors from the production route, so the two must agree
-bit for bit, sampling included.
+bit for bit, sampling included.  It samples as the estimator's contract
+says, by its own route: each Born probability rounded to a multiple of
+2^-40 in Python integers, then one ``multinomial`` call per setting, in
+settings order, on one ``default_rng(seed)``.
 
 ``rotation_born_vectors`` is the estimator's Born route as it was before
 the Pauli-component kernel: ``diag(R^dag C R)`` with each setting's local
@@ -314,15 +317,16 @@ def reference_estimate(w, ch, plan=None, settings=None):
     estimate = float(decomp.coefficient("IIII"))
     variance = 0.0
     per_setting = []
+    rng = None if plan is None else np.random.default_rng(plan.seed)
     for index, setting in enumerate(settings):
         probs = born[index]
         if plan is None:
             weights, shots = probs, None
         else:
             shots = plan.shots_per_setting
-            rng = np.random.default_rng((plan.seed, index))
-            p = np.clip(probs, 0.0, None)
-            weights = rng.multinomial(shots, p / p.sum()).astype(float)
+            grid = [round(max(float(v), 0.0) * 2**40) for v in probs]
+            total = sum(grid)
+            weights = rng.multinomial(shots, [k / total for k in grid]).astype(float)
         denom = 1.0 if shots is None else float(shots)
         term_estimates = []
         combined = np.zeros(16)

@@ -2,7 +2,9 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from ruwitness import protocol
 from ruwitness.channels import (
     KrausChannel,
     depolarising,
@@ -11,12 +13,14 @@ from ruwitness.channels import (
     sample_sru,
     unitary_channel,
 )
+from ruwitness.cli import main as cli_main
 from ruwitness.linalg import all_pauli_strings
 from ruwitness.protocol import (
     EstimateResult,
     ShotPlan,
     _outcome_probabilities,
     _plan_for,
+    _sample_counts,
     _substrings,
     estimate_expectation,
     estimate_expectation_exact,
@@ -379,3 +383,127 @@ class TestSampledEstimator:
         assert obj["seed"] == 3
         assert obj["settings"] == list(settings)
         assert obj["estimate"] == -0.5
+
+
+def _sampler_channels():
+    """Both gates under every noise at two strengths, and the noiseless gates."""
+    for gate in ("CNOT", "CZ"):
+        yield gate, unitary_channel(gate_matrix(gate))
+        for kind in NOISE_KINDS:
+            for q1, q2 in ((0.3, 0.15), (0.8, 0.45)):
+                yield gate, noisy_gate(gate, NoiseSpec(kind, q1, q2))
+
+
+class TestSampler:
+    """``_sample_counts``: one stream per estimate, on the 2^-40 probability grid."""
+
+    def test_counts_fit_the_born_vectors(self):
+        # one chi-square test per setting on its support, at a familywise
+        # significance of 1% (Bonferroni over all settings); outcomes
+        # outside the support must never be drawn
+        cases = list(_sampler_channels())
+        alpha = 0.01 / (9 * len(cases))
+        for seed, (gate, ch) in enumerate(cases):
+            settings = minimal_settings(pauli_decompose(gate_witness(gate)))
+            born = _outcome_probabilities(ch, _substrings(settings))
+            counts = _sample_counts(born, ShotPlan(20_000, seed))
+            assert counts.shape == born.shape and (counts.sum(axis=1) == 20_000).all()
+            for row, probs in zip(counts, born):
+                support = probs > 1e-12
+                assert not row[~support].any()
+                if support.sum() > 1:
+                    expected = probs[support] * (20_000 / probs[support].sum())
+                    assert chisquare(row[support], expected).pvalue > alpha
+
+    def test_chi_square_sees_a_wrong_distribution(self):
+        # the test above has power: counts of one setting against another
+        # setting's Born vector are rejected
+        ch = noisy_gate("CNOT", NoiseSpec("amplitude_damping", 0.3, 0.15))
+        born = _outcome_probabilities(ch, _substrings(("XXXX", "ZZZZ")))
+        counts = _sample_counts(born, ShotPlan(20_000, 1))
+        assert chisquare(counts[0], born[1] * 20_000).pvalue < 1e-12
+
+    @pytest.mark.parametrize("shots", [1, 1000, 54_321, 2**63 - 1])
+    def test_one_draw_equals_rows_drawn_in_order(self, shots):
+        # the 2-D draw reads the rows from the one generator in order, as a
+        # loop of per-setting draws would
+        settings = minimal_settings(pauli_decompose(gate_witness("CZ")))
+        for seed, (_, ch) in enumerate(_sampler_channels()):
+            born = _outcome_probabilities(ch, _substrings(settings))
+            plan = ShotPlan(shots, seed)
+            p = np.rint(np.maximum(born, 0.0) * 2.0**40)
+            p /= p.sum(axis=1, keepdims=True)
+            rng = np.random.default_rng(seed)
+            looped = np.array([rng.multinomial(shots, row) for row in p])
+            assert np.array_equal(_sample_counts(born, plan), looped)
+
+    def test_later_settings_read_the_stream_after_earlier_ones(self):
+        # one stream: dropping the first setting shifts every later draw
+        ch = noisy_gate("CNOT", NoiseSpec("depolarising", 0.3, 0.15))
+        settings = minimal_settings(pauli_decompose(gate_witness("CNOT")))
+        born = _outcome_probabilities(ch, _substrings(settings))
+        plan = ShotPlan(5000, 4)
+        full, tail = _sample_counts(born, plan), _sample_counts(born[1:], plan)
+        assert not np.array_equal(full[1:], tail)
+
+    def test_certain_outcome_keeps_probability_one(self):
+        born = np.zeros((2, 16))
+        born[0, 5] = 1.0 - 2.0**-53
+        born[1, [0, 3, 12, 15]] = 0.25
+        counts = _sample_counts(born, ShotPlan(2**63 - 1, 3))
+        assert counts[0, 5] == 2**63 - 1
+        assert (counts[1, [0, 3, 12, 15]] > 0).all() and counts[1].sum() == 2**63 - 1
+
+
+# The stability probe: both gates, the four noises and a 5x5 strength grid
+# over [0, 1] (200 cases), with shots spread log-uniformly over 1e3..1e5 and
+# one distinct seed per case.
+_GRID_STRENGTHS = [str(q) for q in np.linspace(0.0, 1.0, 5)]
+_PROBE = [
+    (gate, kind, q1, q2, int(10 ** (3 + 2 * (37 * i % 200) / 199)), i)
+    for i, (gate, kind, q1, q2) in enumerate(
+        (gate, kind, q1, q2)
+        for gate in ("cnot", "cz") for kind in NOISE_KINDS
+        for q1 in _GRID_STRENGTHS for q2 in _GRID_STRENGTHS)
+]
+
+
+def _rotation_route(ch, substrings):
+    """Born vectors by local rotations of the Choi matrix, for the settings of ``substrings``."""
+    strings = tuple(all_pauli_strings(4))
+    return rotation_born_vectors(ch, [strings[row[15]] for row in substrings])
+
+
+class TestSeededOutputStability:
+    """Seeded ``simulate`` output does not depend on round-off in the Born vectors."""
+
+    def _simulate(self, capsys, path, gate, kind, q1, q2, shots, seed):
+        argv = ["simulate", "--gate", gate, "--noise", kind, "--q1", q1, "--q2", q2,
+                "--shots", str(shots), "--seed", str(seed), "--out", str(path)]
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out + path.read_text()
+
+    def test_rotation_route_gives_byte_identical_output(self, capsys, monkeypatch, tmp_path):
+        assert len({case[5] for case in _PROBE}) == 200
+        assert {min(case[4] for case in _PROBE), max(case[4] for case in _PROBE)} == {1000, 100_000}
+        path = tmp_path / "simulate.json"
+        package = [self._simulate(capsys, path, *case) for case in _PROBE]
+        monkeypatch.setattr(protocol, "_outcome_probabilities", _rotation_route)
+        rotated = [self._simulate(capsys, path, *case) for case in _PROBE]
+        differing = [case for case, a, b in zip(_PROBE, package, rotated) if a != b]
+        assert differing == []
+
+    def test_dust_on_exact_zeros_leaves_counts(self):
+        rng = np.random.default_rng(0)
+        zeros = 0
+        for gate, kind, q1, q2, shots, seed in _PROBE:
+            ch = noisy_gate(gate.upper(), NoiseSpec(kind, float(q1), float(q2)))
+            settings = minimal_settings(pauli_decompose(gate_witness(gate.upper())))
+            born = _outcome_probabilities(ch, _substrings(settings))
+            dusted = born.copy()
+            mask = born == 0.0
+            zeros += int(mask.sum())
+            dusted[mask] = rng.uniform(-1e-16, 1e-16, int(mask.sum()))
+            plan = ShotPlan(shots, seed)
+            assert np.array_equal(_sample_counts(dusted, plan), _sample_counts(born, plan))
+        assert zeros > 0

@@ -113,3 +113,46 @@ def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, name, args):
     err = capsys.readouterr().err
     assert f"{name}: error: " in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+_PIPED = {
+    "selftest": ["-m", "ruwitness", "selftest"],
+    "threshold_table": [str(SCRIPTS / "threshold_table.py")],
+    "shot_convergence": [str(SCRIPTS / "shot_convergence.py")],
+}
+
+
+def _piped_env(unbuffered: str) -> dict:
+    # an empty PYTHONUNBUFFERED counts as unset: stdout is block-buffered
+    return dict(os.environ, PYTHONPATH=str(Path(ruwitness.__file__).parents[1]), PYTHONUNBUFFERED=unbuffered)
+
+
+@pytest.mark.parametrize("command", sorted(_PIPED))
+def test_reader_closing_after_one_line_is_not_an_error(command):
+    """``command | head -1``: no traceback and no error line once the reader has gone."""
+    proc = subprocess.Popen([sys.executable, *_PIPED[command]], env=_piped_env("1"),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=120)
+        proc.stderr.close()
+    assert first.strip()
+    assert "Traceback" not in err and "error:" not in err
+    assert proc.returncode in (0, 1)
+
+
+@pytest.mark.parametrize("command", sorted(_PIPED))
+def test_reader_gone_before_the_first_write_exits_1_quietly(command):
+    """With the pipe's reader closed before any output, every write fails: exit 1, nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, *_PIPED[command]], env=_piped_env(""),
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
