@@ -9,6 +9,7 @@ Usage: python scripts/detection_regions.py --out-dir sweeps --grid 41
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from ruwitness.robustness import GATE_NAMES, NOISE_KINDS, sweep, write_sweep_csv
@@ -22,15 +23,21 @@ def main() -> int:
     if args.grid < 2:
         parser.error(f"--grid must be >= 2, got {args.grid}")
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    for gate in GATE_NAMES:
-        for kind in NOISE_KINDS:
-            rows = sweep(gate, kind, args.grid)
-            path = args.out_dir / f"{gate.lower()}_{kind}.csv"
-            with open(path, "w", newline="") as fh:
-                write_sweep_csv(rows, fh)
-            detected = sum(r.detected for r in rows) / len(rows)
-            print(f"{path}  detected fraction: {detected:.3f}")
+    detected = {}
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        for gate in GATE_NAMES:
+            for kind in NOISE_KINDS:
+                rows = sweep(gate, kind, args.grid)
+                path = args.out_dir / f"{gate.lower()}_{kind}.csv"
+                with open(path, "w", newline="") as fh:
+                    write_sweep_csv(rows, fh)
+                detected[path] = sum(r.detected for r in rows) / len(rows)
+    except OSError as exc:  # an unwritable --out-dir is invalid input, as in the CLI
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
+    for path, fraction in detected.items():
+        print(f"{path}  detected fraction: {fraction:.3f}")
     return 0
 
 

@@ -51,8 +51,12 @@ def main() -> int:
         print(f"  {label:<34} {form:<26} = {fmt12(value)}")
 
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(dumps(records))
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(dumps(records))
+        except OSError as exc:  # an unwritable --json is invalid input, as in the CLI
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 1
         print(f"\nwrote {args.json}")
     return 0
 

@@ -22,7 +22,7 @@ _SUBMODULE = {
     "EstimateResult": "protocol",
     "KrausChannel": "channels",
     "NoiseSpec": "robustness",
-    "PauliDecomposition": "witness",
+    "PauliDecomposition": "cover",
     "ShotPlan": "protocol",
     "SweepRow": "robustness",
     "Witness": "witness",
@@ -32,7 +32,7 @@ _SUBMODULE = {
     "bit_flip": "channels",
     "build_witness": "witness",
     "closed_form": "robustness",
-    "cover_exists": "witness",
+    "cover_exists": "cover",
     "dephasing": "channels",
     "depolarising": "channels",
     "estimate_expectation": "protocol",
@@ -40,7 +40,7 @@ _SUBMODULE = {
     "expectation": "witness",
     "gate_matrix": "channels",
     "haar_unitary": "channels",
-    "minimal_settings": "witness",
+    "minimal_settings": "cover",
     "noisy_gate": "robustness",
     "numeric_expectation": "robustness",
     "gate_witness": "witness",

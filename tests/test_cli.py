@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,34 @@ class TestWitnessCommand:
         settings = json.loads(st.read_text())
         assert len(settings) == 9
         assert all(len(s) == 4 and set(s) <= set("XYZ") for s in settings)
+
+
+# SHA-256 of each output of witness and beta: any change to these bytes is a change of format.
+OUTPUT_DIGESTS = {
+    ("witness", "cnot"): {
+        "stdout": "909cf49037e33d563db04007b0d4f7d5e95d8bfc2eafc169dc261c0e9320eb10",
+        "decomposition": "48a27761c406ae4725437bfa870e8328404bb15beacc3cb5818626cacbbf46c9",
+        "settings": "c1aa24886a30813da27f171c2d9f882801aff6f13be4431e326d964356049320",
+    },
+    ("witness", "cz"): {
+        "stdout": "266539e57f26ccbdd892021d7b6376d151ca0fbd93a1ba46f0661a7ca0e7ff94",
+        "decomposition": "a6a81401917a9ba636bdd60fb1b93f14918de1bafaa03f3889feac8b423315b6",
+        "settings": "a6e80a444c9579c35068403b8295aa3a99265e785874cb9e50462156a9d6e00b",
+    },
+    ("beta", "cnot"): {"stdout": "45e4ce30b9650697dc7e178f04f984d079c0e4f797d28e6f88cb55c48d74f77f"},
+    ("beta", "cz"): {"stdout": "45e4ce30b9650697dc7e178f04f984d079c0e4f797d28e6f88cb55c48d74f77f"},
+}
+
+
+@pytest.mark.parametrize("command,gate", sorted(OUTPUT_DIGESTS))
+def test_output_digests_are_pinned(capsys, tmp_path, command, gate):
+    files = {name: tmp_path / f"{name}.json" for name in OUTPUT_DIGESTS[command, gate] if name != "stdout"}
+    flags = [arg for name, path in files.items() for arg in (f"--{name}-out", str(path))]
+    code, out, _ = run(capsys, command, "--gate", gate, *flags)
+    assert code == 0
+    outputs = {"stdout": out.encode(), **{name: path.read_bytes() for name, path in files.items()}}
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == OUTPUT_DIGESTS[command, gate]
 
 
 class TestBetaCommand:

@@ -75,6 +75,19 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert _fresh_interpreter(code) == "['ruwitness']"
 
 
+def test_cover_names_load_no_numpy():
+    """The decomposition type and the set cover resolve from the numpy-free cover module."""
+    code = (
+        "import sys\n"
+        "from ruwitness import PauliDecomposition, cover_exists, minimal_settings\n"
+        "from ruwitness.cover import GATE_DECOMPOSITIONS\n"
+        "d = GATE_DECOMPOSITIONS['CZ']\n"
+        "print(isinstance(d, PauliDecomposition), len(minimal_settings(d)), cover_exists(d, 8),\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    assert _fresh_interpreter(code) == "True 9 False []"
+
+
 def test_dir_lists_every_public_name_and_resolved_names_stay_bound():
     code = (
         "import sys, ruwitness\n"
@@ -121,8 +134,8 @@ def test_submodules_resolve_as_attributes():
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    (["witness", "--gate", "cz"], ["ruwitness.protocol", "ruwitness.robustness"]),
-    (["beta", "--gate", "cnot"], ["ruwitness.protocol", "ruwitness.robustness"]),
+    (["witness", "--gate", "cz"], ["ruwitness.protocol", "ruwitness.robustness", "numpy"]),
+    (["beta", "--gate", "cnot"], ["ruwitness.protocol", "ruwitness.robustness", "numpy"]),
     (["sweep", "--gate", "cz", "--noise", "bitflip", "--grid", "3", "--out", "{tmp}/sweep.csv"],
      ["ruwitness.protocol"]),
 ], ids=["witness", "beta", "sweep"])
@@ -160,6 +173,43 @@ def test_threshold_output_without_numpy(tmp_path, capsys):
         assert cli_main(["threshold", "--gate", gate, "--noise", kind, "--mode", mode, "--out", str(path)]) == 0
         assert (status, stdout) == (0, capsys.readouterr().out), (gate, kind, mode)
         assert (tmp_path / f"blocked-{i}.json").read_bytes() == path.read_bytes(), (gate, kind, mode)
+
+
+def test_witness_and_beta_output_without_numpy(tmp_path, capsys):
+    """With numpy unimportable, witness and beta print and write the bytes of an ordinary run."""
+    runs = [[command, "--gate", gate, *extra] for gate in ("cnot", "cz") for command, extra in (
+        ("witness", ["--decomposition-out", "{tmp}/{kind}-{i}.decomposition.json",
+                     "--settings-out", "{tmp}/{kind}-{i}.settings.json"]),
+        ("beta", []),
+        ("beta", ["--restarts", "20", "--seed", "5"]),
+    )]
+
+    def argv(i, kind):
+        return [arg.format(tmp=tmp_path, kind=kind, i=i) for arg in runs[i]]
+
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ruwitness.cli import main\n"
+        "outs = []\n"
+        f"for argv in {[argv(i, 'blocked') for i in range(len(runs))]!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        status = main(argv)\n"
+        "    outs.append([status, buf.getvalue()])\n"
+        "print(json.dumps(outs))"
+    )
+    blocked = json.loads(_fresh_interpreter(code))
+    assert len(blocked) == 6
+    for i, (status, stdout) in enumerate(blocked):
+        assert cli_main(argv(i, "ordinary")) == 0
+        assert (status, stdout) == (0, capsys.readouterr().out), runs[i]
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert len(files) == 8
+    for name in files:
+        if name.startswith("blocked"):
+            ordinary = tmp_path / name.replace("blocked", "ordinary")
+            assert (tmp_path / name).read_bytes() == ordinary.read_bytes(), name
 
 
 def test_closed_forms_build_no_channel():

@@ -115,6 +115,23 @@ def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, name, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name,args", [
+    ("detection_regions.py", ["--grid", "2", "--out-dir", "{blocker}/sweeps"]),
+    ("threshold_table.py", ["--json", "{blocker}/roots.json"]),
+])
+def test_unwritable_output_is_one_error_line(monkeypatch, capsys, tmp_path, name, args):
+    """An output path under a regular file ends in one error line on stderr and exit 1."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    main = runpy.run_path(str(SCRIPTS / name))["main"]
+    monkeypatch.setattr(sys, "argv", [name, *(arg.format(blocker=blocker) for arg in args)])
+    assert main() == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{name}: error: ") and str(blocker) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
 _PIPED = {
     "selftest": ["-m", "ruwitness", "selftest"],
     "threshold_table": [str(SCRIPTS / "threshold_table.py")],

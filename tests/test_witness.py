@@ -15,6 +15,7 @@ from ruwitness.channels import (
     sample_sru,
     unitary_channel,
 )
+from ruwitness import cover as cover_module
 from ruwitness import witness as witness_module
 from ruwitness.witness import (
     ALL_SETTINGS,
@@ -319,6 +320,19 @@ class TestPauliDecompose:
         got = {s: c for c, s in decomp.terms}
         assert got == golden  # exact Fractions, zero tolerance
 
+    @pytest.mark.parametrize("gate,golden", [("CNOT", CNOT_TERMS), ("CZ", CZ_TERMS)])
+    def test_literal_terms_are_the_numeric_split(self, gate, golden):
+        """The gate witness and the CLI read one literal; it is the numeric route's split of the
+        witness matrix and the golden table, and its beta is the exact one."""
+        literal = tuple((Fraction(k, 64), s) for k, s in cover_module.GATE_TERMS[gate])
+        w = gate_witness(gate)
+        assert pauli_decompose(w) is cover_module.GATE_DECOMPOSITIONS[gate]
+        assert pauli_decompose(w).terms == literal
+        _assert_same_terms(literal, witness_module._decompose(w.matrix).terms)
+        assert {s: c for c, s in literal} == golden
+        assert w.beta == cover_module.GATE_BETA
+        assert abs(cover_module.GATE_BETA - beta_sru(gate_matrix(gate))) <= 1e-12
+
     @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
     def test_reconstruction(self, gate):
         w = gate_witness(gate)
@@ -522,8 +536,8 @@ class TestMinimalSettings:
     @pytest.mark.parametrize("first", ["minimal_settings", "cover_exists"])
     def test_cover_problem_built_once_per_decomposition(self, monkeypatch, first):
         built = []
-        real = witness_module._cover_problem
-        monkeypatch.setattr(witness_module, "_cover_problem", lambda d: built.append(d) or real(d))
+        real = cover_module._cover_problem
+        monkeypatch.setattr(cover_module, "_cover_problem", lambda d: built.append(d) or real(d))
         decomp = PauliDecomposition(pauli_decompose(gate_witness("CZ")).terms)
         if first == "cover_exists":
             assert cover_exists(decomp, 9)
