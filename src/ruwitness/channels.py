@@ -14,11 +14,11 @@ Conventions
 * Gates use the big-endian qubit order: the control of CNOT/CZ is the most
   significant qubit.
 * Kraus operators that are exactly the zero matrix are dropped on
-  construction, and non-finite entries are rejected.  Noisy gates are
-  composed from table noise Pauli transfer matrices (PTMs) and have at most
-  16 Kraus operators, one per eigenvalue of their Choi matrix above
-  round-off.  A Kraus list is CP by construction, so :func:`validate_cpt`
-  checks the one property it can lack.
+  construction, and non-finite entries are rejected.  A Kraus list is CP by
+  construction, so :func:`validate_cpt` checks the one property it can lack.
+* Noisy gates, composed from table noise Pauli transfer matrices (PTMs), are
+  checked CP and TP when built and keep their PTM and Choi matrix; their at
+  most 16 Kraus operators are built on first read of ``kraus``.
 * A Kraus list is only unique up to a unitary gauge, so channel equality
   is never defined entrywise on Kraus operators; compare Choi states
   instead, through ``tests/oracles.py::choi_of``.
@@ -35,13 +35,14 @@ Noise models (single qubit, strength ``q`` resp. ``gamma``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, PAULI_X, PAULI_Z, pauli_basis
 
 _SQRT2 = np.sqrt(2.0)
+_EYE4, _E0, _CP_SHIFT = np.eye(4), np.eye(16)[0], DEFAULT_TOL * np.eye(16)  # noisy-gate checks
 
 _GATES = {
     "I": np.eye(2, dtype=complex),
@@ -107,8 +108,13 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 
 def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Check the completeness relation ||sum A^dag A - 1||_max <= tol."""
-    s = np.einsum("kji,kjl->il", ch.kraus.conj(), ch.kraus)
-    return bool(np.max(np.abs(s - np.eye(ch.dim))) <= tol)
+    return bool(np.max(np.abs(_kraus_gram(ch.kraus) - np.eye(ch.dim))) <= tol)
+
+
+def _kraus_gram(kraus: np.ndarray) -> np.ndarray:
+    """sum_k A_k^dag A_k as one product m^dag m of the operators stacked as rows of m."""
+    m = kraus.reshape(-1, kraus.shape[-1])
+    return m.conj().T @ m
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -162,27 +168,56 @@ def _gate_ptm(name: str) -> np.ndarray:
     return r
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class _PTMChannel(KrausChannel):
+    """A two-qubit CPT map kept as its checked PTM and Choi matrix; ``kraus`` is built on first read."""
+
+    ptm: np.ndarray
+    choi: np.ndarray
+
+    def __init__(self, ptm: np.ndarray, choi: np.ndarray) -> None:
+        for array in (ptm, choi):
+            array.setflags(write=False)
+        vars(self).update(dim=4, ptm=ptm, choi=choi)  # frozen: no __setattr__
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """One operator per eigenpair (lam, v) of ``choi`` above round-off: sqrt(4 lam) unvec(v),
+        row-major.  ``KrausChannel``'s checks are not run again: the checked ``choi`` is finite
+        with unit trace, so the kept operators are finite, nonzero and at least one."""
+        lam, vecs = np.linalg.eigh(self.choi)
+        if lam[0] < -DEFAULT_TOL:
+            raise ValueError("Choi matrix is not positive semidefinite")
+        keep = lam > 1e-12  # round-off: dropping all of it moves the trace by at most 1.6e-11
+        ops = (2 * (np.sqrt(lam[keep]) * vecs[:, keep])).T.reshape(-1, 4, 4)
+        if not np.abs(_kraus_gram(ops) - _EYE4).max() <= DEFAULT_TOL:
+            raise ValueError("channel is not trace preserving")
+        ops.setflags(write=False)
+        return ops
+
+
 def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausChannel:
-    """(post ⊗ post) ∘ gate ∘ (pre ⊗ pre) from single-qubit PTMs, one Kraus operator per
-    Choi eigenvalue.
+    """(post ⊗ post) ∘ gate ∘ (pre ⊗ pre) from single-qubit PTMs, checked now, Kraus stack on read.
 
     R = (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1), with D ⊗ D by einsum (np.kron is 4x slower), and
-    C = sum_ij R_ij P_i ⊗ P_j^T / 16; eigenpair (lam, v) -> sqrt(4 lam) unvec(v), row-major.
-    The map is CP iff the spectrum it already holds is >= -``DEFAULT_TOL``; the kept
-    operators are CP by construction, so trace preservation is the one check left.
+    C = sum_ij R_ij P_i ⊗ P_j^T / 16.  The map is CP iff the smallest eigenvalue of C is
+    above -``DEFAULT_TOL``, i.e. iff C + ``DEFAULT_TOL`` 1 has a (finite) Cholesky factor,
+    and TP iff row 0 of R is e_0.
     """
     d1, d2 = (np.einsum("ac,bd->abcd", d, d).reshape(16, 16) for d in (pre, post))
+    r = d2 @ _gate_ptm(gate) @ d1
     _, p = pauli_basis(2)
-    x = p.reshape(16, 16).T @ (d2 @ _gate_ptm(gate) @ d1) @ p.conj().reshape(16, 16)  # P^T = conj(P)
-    lam, vecs = np.linalg.eigh(x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16) / 16)
-    if lam[0] < -DEFAULT_TOL:
+    x = p.reshape(16, 16).T @ r @ p.conj().reshape(16, 16)  # P^T = conj(P)
+    choi = x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16) / 16
+    try:
+        cp = np.isfinite(np.linalg.cholesky(choi + _CP_SHIFT)).all()
+    except np.linalg.LinAlgError:
+        cp = False
+    if not cp:
         raise ValueError("Choi matrix is not positive semidefinite")
-    keep = lam > 1e-12  # round-off: dropping all of it moves the trace by at most 1.6e-11
-    half = np.sqrt(lam[keep]) * vecs[:, keep]  # columns rowvec(A_k) / 2
-    ch = KrausChannel(4, (2 * half).T.reshape(-1, 4, 4))
-    if not validate_cpt(ch):
+    if not np.abs(r[0] - _E0).max() <= DEFAULT_TOL:
         raise ValueError("channel is not trace preserving")
-    return ch
+    return _PTMChannel(r, choi)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

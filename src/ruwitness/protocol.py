@@ -12,7 +12,7 @@ Measurement is realised by exact Born probabilities followed by one
 multinomial draw per setting.  A setting measures 16 Pauli strings (its
 axes on a subset of the qubits, I elsewhere), and its Born vector is the
 Walsh-Hadamard transform of their components Tr[C (P ⊗ Q)] on the Choi
-state C, which the estimator forms from the Kraus stack.
+state C, read off a noisy gate's PTM up to signs, or else off its Kraus stack.
 
 Sampling reads one random stream per estimate, ``default_rng(seed)``, and
 draws the settings in order from it, so setting i's counts depend on the
@@ -46,8 +46,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .channels import KrausChannel
-from .linalg import DEFAULT_TOL, _pauli_components
+from .channels import KrausChannel, _PTMChannel
+from .linalg import DEFAULT_TOL, _pauli_components, all_pauli_strings
 from .witness import (
     IDENTITY_STRING,
     PauliDecomposition,
@@ -61,6 +61,7 @@ _AXIS_CODE = {"X": 1, "Y": 2, "Z": 3}  # index of the letter in "IXYZ"
 _BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1  # bits of qubits A to D
 # Row ``mask``: the +-1 outcome signs of a string that measures the qubits in ``mask``.
 _H16 = 1.0 - 2.0 * (_BITS @ _BITS.T % 2)
+_TRANSPOSE_SIGNS = np.array([(-1) ** q.count("Y") for q in all_pauli_strings(2)])  # Q^T = s_Q Q
 
 
 # numpy's multinomial draw takes its count as a C int64
@@ -118,13 +119,17 @@ def _substrings(settings: tuple[str, ...]) -> np.ndarray:
 def _outcome_probabilities(ch: KrausChannel, substrings: np.ndarray) -> np.ndarray:
     """Born vectors of the settings whose strings are ``substrings``.
 
-    The Choi state (1/4) sum_k rowvec(A_k) rowvec(A_k)^dag is Hermitian and PSD
-    by construction; trace preservation needs Tr[C (1 ⊗ Q)] = [Q = 1].
+    A channel kept as its PTM R has components Tr[C (P ⊗ Q)] = R_PQ s_Q, with Q^T = s_Q Q;
+    else they come from (1/4) sum_k rowvec(A_k) rowvec(A_k)^dag, Hermitian and PSD by
+    construction.  Trace preservation needs Tr[C (1 ⊗ Q)] = [Q = 1].
     """
     if ch.dim != 4:
         raise ValueError(f"channel must act on dimension 4, got {ch.dim}")
-    m = ch.kraus.reshape(-1, 16)
-    components = _pauli_components(m.T @ m.conj() / 4)
+    if isinstance(ch, _PTMChannel):
+        components = (ch.ptm * _TRANSPOSE_SIGNS).ravel()
+    else:
+        m = ch.kraus.reshape(-1, 16)
+        components = _pauli_components(m.T @ m.conj() / 4)
     if not np.max(np.abs(components[:16] - np.eye(16)[0])) <= DEFAULT_TOL:
         raise ValueError("channel is not trace preserving")
     return components.real[substrings] @ _H16 / 16

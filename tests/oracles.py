@@ -88,7 +88,8 @@ outside the random-unitary set.
 before Kraus-built channels were checked by trace preservation alone: it
 tests Hermiticity, positivity, unit trace and the reference marginal.  It
 is the reference that ``ruwitness.channels.validate_cpt`` must reject a
-superset of.
+superset of.  ``reference_kraus_gram`` is the completeness sum sum_k A_k^dag A_k
+as that check formed it before it became one product of the stacked operators.
 
 ``reference_pauli_basis`` stacks the Pauli strings as they were before the
 basis was built by broadcasting: one ``np.kron`` chain per string.  It is the
@@ -616,10 +617,15 @@ def sample_channel(dim: int, terms: int, seed: int = 0) -> KrausChannel:
         raise ValueError(f"terms must be >= 1, got {terms}")
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((terms, dim, dim)) + 1j * rng.standard_normal((terms, dim, dim))) / np.sqrt(2.0)
-    s = np.einsum("kji,kjl->il", g.conj(), g)  # sum_k G^dag G
-    w, v = np.linalg.eigh(s)
+    w, v = np.linalg.eigh(reference_kraus_gram(g))
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return KrausChannel(dim, g @ inv_sqrt)
+
+
+def reference_kraus_gram(kraus: np.ndarray) -> np.ndarray:
+    """sum_k A_k^dag A_k as one einsum over the operators, as ``validate_cpt`` summed it
+    before it became one product of the stacked operators."""
+    return np.einsum("kji,kjl->il", kraus.conj(), kraus)
 
 
 def reference_validate_choi(m: np.ndarray, d: int, tol: float) -> None:

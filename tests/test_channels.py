@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_density
 from ruwitness.channels import (
     KrausChannel,
+    _kraus_gram,
     amplitude_damping,
     bit_flip,
     dephasing,
@@ -26,6 +27,7 @@ from oracles import (
     choi_of,
     loop_compose,
     loop_tensor,
+    reference_kraus_gram,
     reference_validate_choi,
     sample_channel,
 )
@@ -101,6 +103,21 @@ class TestValidateCpt:
             assert not validate_cpt(ch, 1e-10)
         if tp:
             assert validate_cpt(ch, 1e-10)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 10**6), st.sampled_from([2, 4]), st.integers(1, 16),
+        st.integers(-500, 500).filter(bool), st.sampled_from([-1, 1]),
+    )
+    def test_one_product_equals_the_einsum(self, seed, dim, terms, step, sign):
+        # sum A^dag A = (1 +- eps) 1 with eps within 50% of the tolerance, but never within
+        # 1e-13 of it, so the two sums' round-off cannot decide the check
+        eps = 1e-10 * (1 + step / 1000)
+        ch = KrausChannel(dim, sample_channel(dim, terms, seed).kraus * np.sqrt(1 + sign * eps))
+        gram, reference = _kraus_gram(ch.kraus), reference_kraus_gram(ch.kraus)
+        assert np.max(np.abs(gram - reference)) <= 1e-15
+        within = bool(np.max(np.abs(reference - np.eye(dim))) <= 1e-10)
+        assert validate_cpt(ch, 1e-10) == within == (step < 0)
 
 
 class TestKrausArray:

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ruwitness
@@ -45,7 +46,9 @@ class TestWitnessCommand:
         assert all(len(s) == 4 and set(s) <= set("XYZ") for s in settings)
 
 
-# SHA-256 of each output of witness and beta: any change to these bytes is a change of format.
+# SHA-256 of each output, keyed by the command and its --gate and --noise: any change to these
+# bytes is a change of format.  simulate runs with PINNED_ARGS; an output file "name" is written
+# through --name-out ("out" through --out).
 OUTPUT_DIGESTS = {
     ("witness", "cnot"): {
         "stdout": "909cf49037e33d563db04007b0d4f7d5e95d8bfc2eafc169dc261c0e9320eb10",
@@ -59,18 +62,78 @@ OUTPUT_DIGESTS = {
     },
     ("beta", "cnot"): {"stdout": "45e4ce30b9650697dc7e178f04f984d079c0e4f797d28e6f88cb55c48d74f77f"},
     ("beta", "cz"): {"stdout": "45e4ce30b9650697dc7e178f04f984d079c0e4f797d28e6f88cb55c48d74f77f"},
+    ("simulate", "cnot", "depolarising"): {
+        "stdout": "f625f8b084b4df97ea2a19e76c8f1548ce13ebc44f66883ccdf96c43df0713fe",
+        "out": "1b9573a89ea3830231adfc79a9ac743e8c276babb109cf840f2c952311099c90",
+    },
+    ("simulate", "cnot", "dephasing"): {
+        "stdout": "9fbc31c4ef827ff22d1d65f60afbf7a05556ba366a57c2ee19a02a9836078a4c",
+        "out": "074ac520e998e9c41fd515d28f5061383509733eee6f1681dd1a5fb104ae1c7f",
+    },
+    ("simulate", "cnot", "bitflip"): {
+        "stdout": "50854c6fdf575b62dbffce73bac6c083f7b03bc7cce2f6f179f562fb6371eba4",
+        "out": "fa110e5f8d412fbd39d2ce0a2e92e7c773b0818d2a4218d7b4e5ba7bc47d4353",
+    },
+    ("simulate", "cnot", "amplitude_damping"): {
+        "stdout": "99bd32c7a715c5bc04165e0426f3d272093cab31f1cf013dda0295b1622b6576",
+        "out": "6f1f3efa188696e08911a675df3e83bebfcb433a765bfeec8d1127744779385d",
+    },
+    ("simulate", "cz", "depolarising"): {
+        "stdout": "1fee4abc530bc06bd41af39eb120bb1b38a9b216d9b4bbca3bda7e9e04737e9e",
+        "out": "41c0de550a3f1fde396c2e016b983b1ed1c6cc445a154807d6840ee68a0f2b4b",
+    },
+    ("simulate", "cz", "dephasing"): {
+        "stdout": "11d9de895d2f0485b7fd3aa9e4c9c12fdd481ecbf7139ff1af4c21ae71dc3be6",
+        "out": "97fcb4143d9ae91fd35dd161012b037effbd06f7a56db1dbf146447ee6024ea3",
+    },
+    ("simulate", "cz", "bitflip"): {
+        "stdout": "17e41c24f360a37099a35e147984056f5a86153180595d534a4cbb0644426f25",
+        "out": "3b42903c095262006bf13ad61f3094bbbd1b142317e96f978b80e402e11306bc",
+    },
+    ("simulate", "cz", "amplitude_damping"): {
+        "stdout": "c42d31a473b93f9d70b18a5ae17021f710588f4178afc81aaf049490e3ae58ce",
+        "out": "6ad3cdfda9580830fb7f0baed7aaaee3dd7001944af638f9ea8fce504f32bbb5",
+    },
+}
+PINNED_ARGS = {"simulate": ("--q1", "0.3", "--q2", "0.15", "--shots", "5000", "--seed", "11")}
+
+# expect at q1 = 0.3, q2 = 0.15: closed form, numeric route, difference and the detected flag.
+# Its digits carry LAPACK round-off, so it is pinned by value.
+EXPECT_VALUES = {
+    ("cnot", "depolarising"): (0.0219296875, 0.0219296875, -3.88578058619e-16, "false"),
+    ("cnot", "dephasing"): (0.103, 0.103, 3.33066907388e-16, "false"),
+    ("cnot", "bitflip"): (0.103, 0.103, -1.11022302463e-16, "false"),
+    ("cnot", "amplitude_damping"): (-0.113155040381, -0.113155040381, 0.0, "true"),
+    ("cz", "depolarising"): (0.0219296875, 0.0219296875, -2.22044604925e-16, "false"),
+    ("cz", "dephasing"): (0.0904, 0.0904, 5.55111512313e-17, "false"),
+    ("cz", "bitflip"): (0.145975, 0.145975, 1.11022302463e-16, "false"),
+    ("cz", "amplitude_damping"): (-0.115332331872, -0.115332331872, -4.4408920985e-16, "true"),
 }
 
 
-@pytest.mark.parametrize("command,gate", sorted(OUTPUT_DIGESTS))
-def test_output_digests_are_pinned(capsys, tmp_path, command, gate):
-    files = {name: tmp_path / f"{name}.json" for name in OUTPUT_DIGESTS[command, gate] if name != "stdout"}
-    flags = [arg for name, path in files.items() for arg in (f"--{name}-out", str(path))]
-    code, out, _ = run(capsys, command, "--gate", gate, *flags)
+@pytest.mark.parametrize("key", sorted(OUTPUT_DIGESTS), ids="-".join)
+def test_output_digests_are_pinned(capsys, tmp_path, key):
+    command, gate, *noise = key
+    files = {name: tmp_path / f"{name}.json" for name in OUTPUT_DIGESTS[key] if name != "stdout"}
+    flags = [arg for name, path in files.items()
+             for arg in ("--out" if name == "out" else f"--{name}-out", str(path))]
+    noise_flags = ["--noise", *noise] if noise else []
+    code, out, _ = run(capsys, command, "--gate", gate, *noise_flags, *PINNED_ARGS.get(command, ()), *flags)
     assert code == 0
     outputs = {"stdout": out.encode(), **{name: path.read_bytes() for name, path in files.items()}}
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
-    assert digests == OUTPUT_DIGESTS[command, gate]
+    assert digests == OUTPUT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("gate,noise", sorted(EXPECT_VALUES))
+def test_expect_values_are_pinned(capsys, gate, noise):
+    code, out, _ = run(capsys, "expect", "--gate", gate, "--noise", noise, "--q1", "0.3", "--q2", "0.15")
+    assert code == 0
+    lines = [line.split(" = ") for line in out.splitlines()]
+    assert [name.strip() for name, _ in lines] == ["closed_form", "numeric", "difference", "detected"]
+    *values, detected = EXPECT_VALUES[gate, noise]
+    assert np.max(np.abs([float(v) for _, v in lines[:3]] - np.array(values))) <= 1e-12
+    assert lines[3][1] == detected
 
 
 class TestBetaCommand:

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -137,6 +138,15 @@ class TestBornVectors:
         for q1, q2 in ((0.0, 0.0), (1.0, 0.35), (0.2, 1.0), (0.55, 0.15), (0.3, 0.2)):
             self._check(noisy_gate(gate, NoiseSpec(kind, q1, q2)))
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
+    def test_ptm_route_equals_kraus_route(self, gate, kind):
+        grid = [i / 5 for i in range(6)]
+        for q1, q2 in itertools.product(grid, grid):
+            ch = noisy_gate(gate, NoiseSpec(kind, q1, q2))
+            gram = _outcome_probabilities(KrausChannel(4, ch.kraus), self.SUBSTRINGS)
+            assert np.max(np.abs(_outcome_probabilities(ch, self.SUBSTRINGS) - gram)) <= 1e-15, (q1, q2)
+
     def test_sampled_and_identity_channels(self):
         for seed in range(20):
             self._check(sample_sru(1 + seed % 4, seed=seed))
@@ -162,6 +172,19 @@ class TestBornVectors:
         estimate_expectation_exact(w, ch)
         assert calls == []
 
+    @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
+    def test_noisy_gate_estimate_builds_no_kraus_stack(self, gate, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=solver, **k: calls.append(a) or _f(*a, **k))
+        w = gate_witness(gate)
+        for kind in NOISE_KINDS:
+            ch = noisy_gate(gate, NoiseSpec(kind, 0.35, 0.2))
+            estimate_expectation(w, ch, ShotPlan(1000, 2))
+            assert "kraus" not in vars(ch)
+        assert calls == []
+
 
 class TestExactEstimator:
     def test_matches_expectation_on_noise_grid(self):
@@ -174,6 +197,16 @@ class TestExactEstimator:
                     result = estimate_expectation_exact(w, ch, settings=settings)
                     assert result.estimate == pytest.approx(expectation(w, ch), abs=1e-10)
                     assert result.std_error == 0.0
+
+    def test_kraus_built_copy_matches(self):
+        for gate, kind in itertools.product(("CNOT", "CZ"), NOISE_KINDS):
+            w, ch = gate_witness(gate), noisy_gate(gate, NoiseSpec(kind, 0.35, 0.2))
+            ptm, copy = estimate_expectation_exact(w, ch), estimate_expectation_exact(w, KrausChannel(4, ch.kraus))
+            assert abs(ptm.estimate - copy.estimate) <= 1e-15
+            assert abs(copy.estimate - expectation(w, ch)) <= 1e-12
+            for (setting, terms), (copy_setting, copy_terms) in zip(ptm.per_setting, copy.per_setting):
+                assert setting == copy_setting and [t for t, _ in terms] == [t for t, _ in copy_terms]
+                assert np.max(np.abs([v for _, v in terms] - np.array([v for _, v in copy_terms]))) <= 1e-15
 
     def test_identity_term_enters_exactly(self):
         # fully depolarising both qubits kills every non-identity term, so

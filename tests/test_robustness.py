@@ -149,9 +149,45 @@ class TestNoisyGate:
         with pytest.raises(ValueError, match="not trace preserving"):
             _noisy_gate_channel("CZ", lossy, _noise_ptm("dephasing", 0.0))
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(-500, 500).filter(bool))
+    def test_cholesky_cp_check_is_the_spectrum_criterion(self, step):
+        # depolarising at q = 4/3 + delta before CNOT: the smallest Choi eigenvalue is
+        # (1 - 3q/4) q/4 = -(3 delta^2 + 4 delta)/16, set within 50% of -DEFAULT_TOL but
+        # never within 1e-13 of it
+        lowest = -1e-10 * (1 + step / 1000)
+        delta = -32 * lowest / (4 + math.sqrt(16 - 192 * lowest))
+        pre, post = _noise_ptm("depolarising", 4 / 3 + delta), _noise_ptm("depolarising", 0.0)
+        if step > 0:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                _noisy_gate_channel("CNOT", pre, post)
+        else:
+            choi = _noisy_gate_channel("CNOT", pre, post).choi
+            assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-13
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ptm_raises_on_construction(self, bad):
+        pre = _noise_ptm("dephasing", 0.2).copy()
+        pre[2, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # inf * 0 in the products
+            _noisy_gate_channel("CZ", pre, _noise_ptm("dephasing", 0.1))
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_kraus_stack_is_built_once_on_first_read(self, gate, kind, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        ch = noisy_gate(gate, NoiseSpec(kind, 0.3, 0.6))
+        assert calls == [] and "kraus" not in vars(ch)
+        kraus = ch.kraus
+        assert ch.kraus is kraus and not kraus.flags.writeable
+        assert len(calls) == 1 and calls[0] is ch.choi
+        assert np.max(np.abs(choi_of(ch) - ch.choi)) <= 1e-15
+        assert len(calls) == 1
+
     def test_derived_channels_keep_no_choi_state(self):
+        # the noisy gate keeps its PTM and Choi matrix; channels built from its Kraus stack do not
         ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.3, 0.6))
-        assert set(vars(ch)) == {"dim", "kraus"}
+        assert isinstance(ch, KrausChannel) and set(vars(ch)) == {"dim", "ptm", "choi"}
         for derived in (KrausChannel(4, ch.kraus), loop_compose(unitary_channel(np.eye(4)), ch)):
             assert set(vars(derived)) == {"dim", "kraus"} and validate_cpt(derived)
             assert np.max(np.abs(choi_of(derived) - choi_of(ch))) < 1e-15
