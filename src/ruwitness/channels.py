@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PAULI_X, PAULI_Z, pauli_basis
+from .linalg import _CONJ_PAULI_ROWS, DEFAULT_TOL, PAULI_X, PAULI_Z, pauli_basis
 
 _SQRT2 = np.sqrt(2.0)
 _EYE4, _E0, _CP_SHIFT = np.eye(4), np.eye(16)[0], DEFAULT_TOL * np.eye(16)  # noisy-gate checks
@@ -207,7 +207,7 @@ def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausCh
     d1, d2 = (np.einsum("ac,bd->abcd", d, d).reshape(16, 16) for d in (pre, post))
     r = d2 @ _gate_ptm(gate) @ d1
     _, p = pauli_basis(2)
-    x = p.reshape(16, 16).T @ r @ p.conj().reshape(16, 16)  # P^T = conj(P)
+    x = p.reshape(16, 16).T @ r @ _CONJ_PAULI_ROWS  # P^T = conj(P)
     choi = x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16) / 16
     try:
         cp = np.isfinite(np.linalg.cholesky(choi + _CP_SHIFT)).all()

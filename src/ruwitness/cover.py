@@ -3,10 +3,17 @@ CNOT and CZ witnesses' exact terms, on the standard library alone.
 
 A measurement setting is a 4-letter string over {X, Y, Z} assigning one
 measured axis per qubit; it covers a Pauli string iff every non-identity
-factor matches the assigned axis.  One exhaustive branch-and-bound answers
-both the minimal-cover and the cover-of-size-k questions; it finishes on the
-16-term CNOT/CZ witnesses in milliseconds and on generic ones (sqrt(SWAP),
-Haar-random unitaries) too.
+factor matches the assigned axis.  A packing, a set of strings whose
+candidate settings are pairwise disjoint, needs one setting per string, so
+its size bounds every cover from below.  One greedy packing is kept per
+decomposition.  A cover of that size settles minimality with no further
+search: :func:`minimal_settings` searches first with the packing size as
+its bound, and :func:`cover_exists` answers False below it without a
+search.  Only when the packing is smaller than the minimum cover does the
+exhaustive branch-and-bound run with its full bound.  On the CNOT/CZ
+witnesses and their local Clifford dressings the packing has 9 strings,
+the minimum; on sqrt(SWAP) it has 21 against a minimum of 27, and there
+the search finishes too, as it does on Haar-random unitaries.
 """
 
 from __future__ import annotations
@@ -35,9 +42,29 @@ class PauliDecomposition:
         return _cover_problem(self)
 
     @cached_property
+    def _ordered(self) -> tuple[str, ...]:
+        """The non-identity strings in a stable sort by identity count, fewest candidates first."""
+        return tuple(sorted((s for _, s in self.terms if s != IDENTITY_STRING), key=lambda s: s.count("I")))
+
+    @cached_property
+    def _packing(self) -> tuple[str, ...]:
+        """A greedy packing: in the cover problem's bit order, each string whose
+        candidate settings miss those of the strings taken before it."""
+        taken, packing = 0, []
+        for s in self._ordered:
+            m = _candidate_mask(s)
+            if not taken & m:
+                taken |= m
+                packing.append(s)
+        return tuple(packing)
+
+    @cached_property
     def _cover(self) -> tuple[str, ...]:
         masks, cand_for, max_gain = self._problem
-        return tuple(ALL_SETTINGS[j] for j in best_cover(masks, cand_for, max_gain, len(cand_for)))
+        best = best_cover(masks, cand_for, max_gain, len(self._packing))
+        if best is None:
+            best = best_cover(masks, cand_for, max_gain, len(cand_for))
+        return tuple(ALL_SETTINGS[j] for j in best)
 
     def coefficient(self, string: str) -> Fraction | float:
         for coeff, s in self.terms:
@@ -98,10 +125,10 @@ def _cover_problem(decomp: PauliDecomposition) -> tuple[list[int], list[list[int
     """Per-setting bitmasks of covered strings, each string's candidate settings
     and the most strings one setting covers.
 
-    Bits follow a stable sort by identity count, fewest candidates first;
-    of settings with equal masks only the smallest index stays a candidate.
+    Bits follow ``decomp._ordered``; of settings with equal masks only the
+    smallest index stays a candidate.
     """
-    strings = sorted((s for _, s in decomp.terms if s != IDENTITY_STRING), key=lambda s: s.count("I"))
+    strings = decomp._ordered
     candidates = [_candidates(s) for s in strings]
     masks = [0] * len(ALL_SETTINGS)
     for i, c in enumerate(candidates):
@@ -119,6 +146,12 @@ def _candidates(string: str) -> tuple[int, ...]:
         raise ValueError(f"not a four-qubit Pauli string: {string!r}")
     axes = ("XYZ" if p == "I" else p for p in string)
     return tuple(_SETTING_INDEX["".join(a)] for a in product(*axes))
+
+
+@lru_cache(maxsize=None)
+def _candidate_mask(string: str) -> int:
+    """:func:`_candidates` as the bits of a mask over :data:`ALL_SETTINGS`."""
+    return sum(1 << j for j in _candidates(string))
 
 
 def best_cover(
@@ -161,18 +194,28 @@ def best_cover(
 
 
 def cover_exists(decomp: PauliDecomposition, size: int) -> bool:
-    """Whether ``size`` measurement settings suffice to cover the decomposition."""
+    """Whether ``size`` measurement settings suffice to cover the decomposition.
+
+    Below the size of the decomposition's packing the answer is False with no
+    search; at or above it :func:`best_cover` searches with ``size`` as its bound.
+    """
+    if size < len(decomp._packing):
+        return False
     return best_cover(*decomp._problem, size) is not None
 
 
 def minimal_settings(decomp: PauliDecomposition) -> tuple[str, ...]:
     """An exactly minimal measurement-setting cover of all non-identity strings.
 
-    One exhaustive branch-and-bound (:func:`best_cover`) over the 81
-    candidate settings certifies minimality.  Ties between equal-size
-    covers break lexicographically on the sorted axis strings, so the
-    output is reproducible.  The search finishes on generic witnesses too:
-    52 terms for sqrt(SWAP), 226 for a Haar-random unitary.  The cover is
-    computed once per decomposition and cached on it.
+    Exhaustive branch-and-bound (:func:`best_cover`) over the 81 candidate
+    settings, first with the decomposition's packing size as its bound: a
+    cover found there is minimal by the packing, as on CNOT/CZ and their
+    dressings.  Only if none is found does the search run again with the
+    bound of one setting per string.  No path to a minimum cover is pruned
+    at a bound equal to its size, so both routes return the same cover.
+    Ties between equal-size covers break lexicographically on the sorted
+    axis strings, so the output is reproducible.  The search finishes on
+    generic witnesses too: 52 terms for sqrt(SWAP), 226 for a Haar-random
+    unitary.  The cover is computed once per decomposition and cached on it.
     """
     return decomp._cover

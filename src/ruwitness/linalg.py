@@ -56,9 +56,13 @@ def pauli_basis(n_qubits: int = 4) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(all_pauli_strings(n_qubits)), stack
 
 
+# The conjugated two-qubit Pauli stack, one flattened string per row, read-only
+_CONJ_PAULI_ROWS = pauli_basis(2)[1].reshape(16, 16).conj()
+_CONJ_PAULI_ROWS.setflags(write=False)
+
+
 def _pauli_components(m: np.ndarray) -> np.ndarray:
     """Tr[m (P ⊗ Q)] for the 256 strings P ⊗ Q, entry 16 p + q as in :func:`all_pauli_strings`:
     m[(a c), (b d)] regrouped as y[(a b), (c d)] gives conj(P) y conj(Q)^T, since P^T = conj(P)."""
-    p = pauli_basis(2)[1].reshape(16, 16).conj()
     y = m.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
-    return (p @ y @ p.T).ravel()
+    return (_CONJ_PAULI_ROWS @ y @ _CONJ_PAULI_ROWS.T).ravel()

@@ -46,7 +46,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .channels import KrausChannel, _PTMChannel
+from .channels import _E0, KrausChannel, _PTMChannel
 from .linalg import DEFAULT_TOL, _pauli_components, all_pauli_strings
 from .witness import (
     IDENTITY_STRING,
@@ -130,7 +130,7 @@ def _outcome_probabilities(ch: KrausChannel, substrings: np.ndarray) -> np.ndarr
     else:
         m = ch.kraus.reshape(-1, 16)
         components = _pauli_components(m.T @ m.conj() / 4)
-    if not np.max(np.abs(components[:16] - np.eye(16)[0])) <= DEFAULT_TOL:
+    if not np.max(np.abs(components[:16] - _E0)) <= DEFAULT_TOL:
         raise ValueError("channel is not trace preserving")
     return components.real[substrings] @ _H16 / 16
 

@@ -82,6 +82,13 @@ def check_minimal_settings() -> None:
         d = witness.pauli_decompose(witness.gate_witness(gate))
         cover = witness.minimal_settings(d)
         _require(len(cover) == 9)
+        # no 8-cover, twice: 9 terms whose covering settings are pairwise
+        # disjoint, and the exhaustive search at bound 8
+        packing = d._packing
+        sets = [{c for c in witness.ALL_SETTINGS if witness.setting_covers(c, s)} for s in packing]
+        _require(len(packing) == 9 and set(packing) <= set(d.strings()) - {witness.IDENTITY_STRING})
+        _require(sum(map(len, sets)) == len(set().union(*sets)))
+        _require(witness.best_cover(*d._problem, 8) is None)
         _require(not witness.cover_exists(d, 8))
         for _, s in d.terms:
             if s != "IIII":

@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import KrausChannel, gate_matrix
+from .channels import _EYE4, KrausChannel, gate_matrix
 from .cover import (  # noqa: F401  (every name re-exported)
     _SETTING_INDEX, ALL_SETTINGS, GATE_BETA, GATE_DECOMPOSITIONS, IDENTITY_STRING, PauliDecomposition,
     _candidates, _coeff_str, _cover_problem, best_cover, cover_exists, minimal_settings, setting_covers)
@@ -40,6 +40,8 @@ from .thresholds import GATE_NAMES, _check_gate
 # is exact in floating point.  In the normalised basis every V ⊗ W with
 # V, W in SU(2) is a real rotation in SO(4).
 _MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
+_MAGIC_H = _MAGIC.conj().T
+_EYE16 = np.eye(16)
 # The sign vectors with an even number of minus signs, the vertices of the
 # set of SO(4) diagonals (Horn 1954).
 _EVEN_SIGNS = np.array([s for s in product((1, -1), repeat=4) if s.count(-1) % 2 == 0])
@@ -84,7 +86,7 @@ def build_witness(
     # (1/4) sum_k rowvec(A_k) rowvec(A_k)^dag is the projector onto rowvec(U)/2
     u = np.asarray(u, dtype=complex)
     v = u.reshape(1, 16) / 2
-    matrix = beta * np.eye(16) - np.einsum("ki,kj->ij", v, v.conj())
+    matrix = beta * _EYE16 - np.einsum("ki,kj->ij", v, v.conj())
     return Witness(beta=float(beta), unitary=u, matrix=matrix, gate=gate)
 
 
@@ -123,10 +125,10 @@ def _exact_beta(shape: tuple[int, ...], data: bytes) -> float:
     if (
         u.shape != (4, 4)
         or not np.isfinite(u).all()
-        or not np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10  # NaN fails too
+        or not np.max(np.abs(u.conj().T @ u - _EYE4)) <= 1e-10  # NaN fails too
     ):
         raise ValueError("beta_sru expects a finite 4x4 unitary")
-    ub = _MAGIC.conj().T @ u @ _MAGIC
+    ub = _MAGIC_H @ u @ _MAGIC
     lam = np.sqrt(np.linalg.eigvals(ub.T @ ub))
     if (np.prod(lam) * np.conj(np.linalg.det(u))).real < 0:
         lam[0] = -lam[0]
@@ -137,6 +139,9 @@ def _exact_beta(shape: tuple[int, ...], data: bytes) -> float:
 # A coefficient snaps to k/64 only at round-off level; dressed Clifford
 # witnesses sit within 1.1e-16 of their 64ths.  One that snaps to 0 is dropped.
 _SNAP_TOL = 1e-12
+# k/64 for the integers k a witness's coefficients snap to, |k| <= 64 since
+# |Tr[P W]| <= 16 for 0 < beta <= 1; float keys find them too (28.0 == 28)
+_SIXTY_FOURTHS = {k: Fraction(k, 64) for k in range(-64, 65)}
 
 
 def pauli_decompose(w: Witness) -> PauliDecomposition:
@@ -155,7 +160,8 @@ def _decompose(matrix: np.ndarray) -> PauliDecomposition:
     columns = (kept.tolist(), c[kept].tolist(), snapped[kept].tolist(), exact[kept].tolist())
     pairs = pauli_basis(2)[0]  # component 16 p + q is string pairs[p] + pairs[q]
     return PauliDecomposition(tuple(
-        (Fraction(int(k), 64) if e else v, pairs[i >> 4] + pairs[i & 15]) for i, v, k, e in zip(*columns)
+        ((_SIXTY_FOURTHS.get(k) or Fraction(int(k), 64)) if e else v, pairs[i >> 4] + pairs[i & 15])
+        for i, v, k, e in zip(*columns)
     ))
 
 

@@ -99,6 +99,12 @@ def _assert_same_covers(decomp):
         assert cover_exists(decomp, size) == (reference_best_cover(strings, size) is not None)
 
 
+def _assert_disjoint_settings(strings):
+    """No setting covers two of the strings."""
+    for setting in ALL_SETTINGS:
+        assert sum(setting_covers(setting, s) for s in strings) <= 1, setting
+
+
 def _single_qubit_cliffords():
     """The 24 single-qubit Cliffords, phase-fixed, generated from H and S."""
 
@@ -430,9 +436,20 @@ class TestPauliDecompose:
         u, _ = EXACT_BETA[name]
         for _ in range(6):
             a, b, c, d = (cliffords[i] for i in rng.integers(0, 24, 4))
-            decomp = pauli_decompose(build_witness(np.kron(a, b) @ u @ np.kron(c, d)))
+            w = build_witness(np.kron(a, b) @ u @ np.kron(c, d))
+            decomp = pauli_decompose(w)
             assert len(decomp.terms) == 16
-            assert all(isinstance(coeff, Fraction) for coeff, _ in decomp.terms)
+            assert all(type(coeff) is Fraction for coeff, _ in decomp.terms)
+            _assert_same_terms(decomp.terms, reference_decompose(w.matrix))
+
+    @pytest.mark.parametrize("scale", [1, -1, 3, -3])
+    def test_exact_coefficients_at_and_past_the_table_ends(self, scale):
+        """k = +-64 come from the table of k/64, k = +-192 from the Fraction constructor."""
+        w = Witness(beta=0.5, unitary=np.eye(4), matrix=scale * np.eye(16))
+        terms = pauli_decompose(w).terms
+        assert terms == ((Fraction(scale), "IIII"),)
+        assert type(terms[0][0]) is Fraction
+        _assert_same_terms(terms, reference_decompose(w.matrix))
 
 
 class TestMinimalSettings:
@@ -516,7 +533,17 @@ class TestMinimalSettings:
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.text("IXYZ", min_size=4, max_size=4), min_size=1, max_size=20))
     def test_matches_reference_search(self, strings):
-        _assert_same_covers(_decomposition(*strings))
+        decomp = _decomposition(*strings)
+        _assert_same_covers(decomp)
+        # the packing's strings are terms no setting covers two of, so no cover is smaller,
+        # and cover_exists says yes from the reference's minimum size up, at every size
+        packing = decomp._packing
+        assert set(packing) <= set(strings) - {"IIII"}
+        _assert_disjoint_settings(packing)
+        size = len(minimal_settings(decomp))
+        assert len(packing) <= size
+        for k in range(-1, len(strings) + 1):
+            assert cover_exists(decomp, k) == (k >= size)
 
     @pytest.mark.parametrize("name", ["CNOT", "CZ", "SWAP", "iSWAP"])
     def test_matches_reference_search_on_dressed_gates(self, name):
@@ -524,7 +551,25 @@ class TestMinimalSettings:
         u, _ = EXACT_BETA[name]
         for k in range(24):  # every Clifford in every slot
             a, b, c, d = (cliffords[(m * k + r) % 24] for m, r in ((1, 0), (7, 3), (11, 5), (13, 1)))
-            _assert_same_covers(pauli_decompose(build_witness(np.kron(a, b) @ u @ np.kron(c, d))))
+            decomp = pauli_decompose(build_witness(np.kron(a, b) @ u @ np.kron(c, d)))
+            _assert_same_covers(decomp)
+            # the packing alone proves these covers minimal
+            _assert_disjoint_settings(decomp._packing)
+            assert len(decomp._packing) == len(minimal_settings(decomp)) == 9
+
+    def test_packing_decides_below_its_size_without_a_search(self, monkeypatch):
+        searches = []
+        real = cover_module.best_cover
+        monkeypatch.setattr(cover_module, "best_cover", lambda *a: searches.append(a[-1]) or real(*a))
+        h, s = np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.diag([1, 1j])
+        u = np.kron(h, s) @ gate_matrix("CNOT") @ np.kron(s @ h, h)
+        decomp = pauli_decompose(build_witness(u))
+        assert not cover_exists(decomp, 8)
+        assert searches == []
+        assert cover_exists(decomp, 9)
+        assert searches == [9]
+        assert len(minimal_settings(decomp)) == 9
+        assert searches == [9, 9]
 
     @pytest.mark.parametrize("make", [
         lambda: SQRT_SWAP,
@@ -592,9 +637,11 @@ def test_minimal_settings_runtime_budget():
     assert time.perf_counter() - t0 < 1.0
 
     # Generic witnesses: sqrt(SWAP) has 52 Pauli terms, a Haar-random
-    # unitary 226.  The searches below take about 0.45 s together on a
-    # 2-core x86-64 VM, nearly all of it sqrt(SWAP); the budget dates from
-    # when they took about 2 s.
+    # unitary 226.  The searches below take about 0.2-0.4 s together on a
+    # shared 2-core x86-64 VM (0.3-0.4 s without the packing bound), nearly
+    # all of it sqrt(SWAP), whose greedy packing of 21 strings is below its
+    # 27-setting cover, so the full search runs; the budget dates from when
+    # they took about 2 s.
     haar = haar_unitary(4, np.random.default_rng(5))
     generic = [
         pauli_decompose(build_witness(u, beta_sru(u, restarts=5, seed=0)))
