@@ -126,7 +126,9 @@ def _cover_problem(decomp: PauliDecomposition) -> tuple[list[int], list[list[int
     and the most strings one setting covers.
 
     Bits follow ``decomp._ordered``; of settings with equal masks only the
-    smallest index stays a candidate.
+    smallest index stays a candidate.  Only candidates carry bits, and two with
+    equal masks are candidates of one string, whose tuple is in index order, so
+    the last write of ``first`` over the reversed tuples keeps the smaller index.
     """
     strings = decomp._ordered
     candidates = [_candidates(s) for s in strings]
@@ -134,8 +136,8 @@ def _cover_problem(decomp: PauliDecomposition) -> tuple[list[int], list[list[int
     for i, c in enumerate(candidates):
         for j in c:
             masks[j] |= 1 << i
-    first = {m: j for j, m in reversed(tuple(enumerate(masks)))}
-    max_gain = max(m.bit_count() for m in masks)
+    first = {masks[j]: j for c in reversed(candidates) for j in reversed(c)}
+    max_gain = max((m.bit_count() for m in first), default=0)
     return masks, [[j for j in c if first[masks[j]] == j] for c in candidates], max_gain
 
 

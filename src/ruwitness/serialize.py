@@ -1,11 +1,12 @@
-"""Deterministic text output: 12-significant-digit numbers, stable JSON."""
+"""Deterministic text output: 12-significant-digit numbers, and canonical JSON from the
+standard library's encoder with a column path for lists of flat records."""
 
 from __future__ import annotations
 
 import json
 import math
 from decimal import Decimal
-from functools import cache, partial
+from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, not_
@@ -99,9 +100,6 @@ def _round12_distinct(values: list) -> list[float]:
     return out
 
 
-# Exact types only: subclasses (numpy.float64, IntEnum, ...) take the stdlib
-# route, which is the one that defines how they print.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 _STR = frozenset((str,))
 _DICT = frozenset((dict,))
 _LITERALS = {True: "true", False: "false", None: "null"}
@@ -118,19 +116,14 @@ def _float_reprs(column: list[float]) -> list[str] | None:
     return _per_distinct(partial(map, float.__repr__), column)
 
 
-# column type -> its texts, or None where the column needs the generic route
+# exact column type -> its texts, or None for the stdlib route, which alone prints subclasses
 _COLUMN = {float: _float_reprs, int: partial(map, int.__repr__), str: partial(map, encode_basestring_ascii),
            bool: partial(map, _LITERALS.__getitem__), type(None): partial(map, _LITERALS.__getitem__)}
-
-
-@cache
-def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """C encoder whose item separator is the newline and indent of ``depth``."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+_STDLIB = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
 def _records(items: list, pad: str) -> str | None:
-    """A list of flat records printed column by column, or None for the generic route.
+    """A list of flat records printed column by column, or None for the stdlib route.
 
     Every record needs the first one's nonempty set of ``str`` keys and every
     column one exact scalar type, finite floats only; ``pad`` is the newline and
@@ -157,39 +150,25 @@ def _records(items: list, pad: str) -> str | None:
 
 
 def _encode(obj, depth: int) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` as it prints ``depth`` levels deep.
-
-    JSON string escaping never emits a raw newline, so every newline in the
-    C encoder's output is one of its item separators.
-    """
-    kind = type(obj)
-    if kind in _SCALARS:
-        if kind is str:
-            return encode_basestring_ascii(obj)
-        return repr(obj) if kind is float and math.isfinite(obj) else json.dumps(obj)
-    if kind is not list and not (kind is dict and _STR.issuperset(map(type, obj))):
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-    brackets = "{}" if kind is dict else "[]"
-    if not obj:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    if _SCALARS.issuperset(map(type, obj.values() if kind is dict else obj)):
-        body = _flat_encoder(depth + 1).encode(obj)[1:-1]
-    elif kind is dict:
-        items = sorted(obj.items())
-        body = ("," + pad).join(f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}" for k, v in items)
-    elif (body := _records(obj, pad)) is None:
-        body = ("," + pad).join(_encode(v, depth + 1) for v in obj)
-    return brackets[0] + pad + body + pad[:-2] + brackets[1]
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as it prints ``depth`` levels deep; each
+    newline in the stdlib's text is a line break of its layout, as no JSON string holds one."""
+    kind, pad = type(obj), "\n" + "  " * (depth + 1)
+    if kind is dict and obj and _STR.issuperset(map(type, obj)):
+        body = ("," + pad).join(f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}" for k, v in sorted(obj.items()))
+        return "{" + pad + body + pad[:-2] + "}"
+    if kind is list and obj and (body := _records(obj, pad)) is not None:
+        return "[" + pad + body + pad[:-2] + "]"
+    if kind is float and math.isfinite(obj):  # as _float_reprs prints it, without its dicts
+        return float.__repr__(obj)
+    if kind in _COLUMN and (texts := _COLUMN[kind]((obj,))) is not None:
+        return "".join(texts)
+    return _STDLIB(obj).replace("\n", pad[:-2])
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
-
-    Byte-identical to ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``;
-    flat containers go through the C encoder in one call each, and lists of
-    same-key flat records are printed one column at a time.
-    """
+    """Canonical JSON text, byte-identical to ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``:
+    dicts with ``str`` keys print key by key, same-key flat records column by column
+    (:func:`_records`), exact scalars directly and all else by the stdlib encoder."""
     try:
         return _encode(obj, 0) + "\n"
     except RecursionError:  # a reference cycle or very deep nesting: the stdlib reports it

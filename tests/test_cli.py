@@ -46,9 +46,9 @@ class TestWitnessCommand:
         assert all(len(s) == 4 and set(s) <= set("XYZ") for s in settings)
 
 
-# SHA-256 of each output, keyed by the command and its --gate and --noise: any change to these
-# bytes is a change of format.  simulate runs with PINNED_ARGS; an output file "name" is written
-# through --name-out ("out" through --out).
+# SHA-256 of each output, keyed by the command, its --gate and the values of its KEY_FLAGS: any
+# change to these bytes is a change of format.  simulate and sweep run with PINNED_ARGS; an output
+# file "name" is written through --name-out ("out" through --out).  sweep's stdout names its file.
 OUTPUT_DIGESTS = {
     ("witness", "cnot"): {
         "stdout": "909cf49037e33d563db04007b0d4f7d5e95d8bfc2eafc169dc261c0e9320eb10",
@@ -94,8 +94,122 @@ OUTPUT_DIGESTS = {
         "stdout": "c42d31a473b93f9d70b18a5ae17021f710588f4178afc81aaf049490e3ae58ce",
         "out": "6ad3cdfda9580830fb7f0baed7aaaee3dd7001944af638f9ea8fce504f32bbb5",
     },
+    ("threshold", "cnot", "depolarising", "after"): {
+        "stdout": "d96f6520a960d8badcd9f816a9eb59400fecac472217f7fdc78eb4a5a7f6d5c7",
+        "out": "e0cda04ac163e4e610176cd57e59675f0f85c7d54e0665288c6da485c8e68254",
+    },
+    ("threshold", "cnot", "depolarising", "before"): {
+        "stdout": "d96f6520a960d8badcd9f816a9eb59400fecac472217f7fdc78eb4a5a7f6d5c7",
+        "out": "24eb2dcd8548d4d69735bb074f231810fedabb612376561b9dbd9e2a9e3885d8",
+    },
+    ("threshold", "cnot", "depolarising", "equal"): {
+        "stdout": "0cf9ac4ce0e67bb17d0a6f7b9a1ac4f8c81fc16ee49d072245dd6e0aba1a9cb0",
+        "out": "2a66f9dc3c029868ce79a5598834fbd8d20a8802cdfe8fa9371994356b0768a2",
+    },
+    ("threshold", "cnot", "dephasing", "after"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "8f66fa61212f35bb2f214256e9e165638874920412ebd556158bbd553ed482fa",
+    },
+    ("threshold", "cnot", "dephasing", "before"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "cb5f4a32e73a101bc17d156fc98994fcd949d68c1802761548127d8533a79923",
+    },
+    ("threshold", "cnot", "dephasing", "equal"): {
+        "stdout": "8bb6896b5076eabddb088690bf28349e8fee5aea6a0cd22b51e7061a62843db9",
+        "out": "6a2a19d2e7a4272657eb27ab85ed9324a668be55cfaff05e94aa8d27d6cf45ef",
+    },
+    ("threshold", "cnot", "bitflip", "after"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "aa1b6cac8a38bd113c5cc85cad47c36c3c7d07ae3960618e9e064c25b014465c",
+    },
+    ("threshold", "cnot", "bitflip", "before"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "19de365e050db8b945495e4ef6fbc69f2d356b9df169e1d10bf2341942bf5465",
+    },
+    ("threshold", "cnot", "bitflip", "equal"): {
+        "stdout": "8bb6896b5076eabddb088690bf28349e8fee5aea6a0cd22b51e7061a62843db9",
+        "out": "d3c9d3413085487f25ea1a8faf27cbe660e41672322066801e2c1f2483907652",
+    },
+    ("threshold", "cnot", "amplitude_damping", "after"): {
+        "stdout": "120391fce7e72d84efdc6e49205a5248fea35ee5c6f3b9f898a87d801954fbb8",
+        "out": "4e540d05aba9da5effc891cf958b77141e81b42994ff6bf25ccb10b49dd80002",
+    },
+    ("threshold", "cnot", "amplitude_damping", "before"): {
+        "stdout": "120391fce7e72d84efdc6e49205a5248fea35ee5c6f3b9f898a87d801954fbb8",
+        "out": "53b4dbadaa003de1850e9b5106f721f97180fb11fbb58aaf99b4d953c65b533b",
+    },
+    ("threshold", "cnot", "amplitude_damping", "equal"): {
+        "stdout": "429ba4c86634d157c8ee7c100622649b6fb3d38ba1e46e3d171b0932afc724a7",
+        "out": "25534ae33edfa3eec06326135a2aab8a386d3a744ff46c99dbf65c34708dc917",
+    },
+    ("threshold", "cz", "depolarising", "after"): {
+        "stdout": "d96f6520a960d8badcd9f816a9eb59400fecac472217f7fdc78eb4a5a7f6d5c7",
+        "out": "4e7cc1bf9348db257c34258da9eb07ce90a40bd8703b7660dbd67bc18d5bfc12",
+    },
+    ("threshold", "cz", "depolarising", "before"): {
+        "stdout": "d96f6520a960d8badcd9f816a9eb59400fecac472217f7fdc78eb4a5a7f6d5c7",
+        "out": "9f36993d3f2a4433a7f7878df72512296cd2d6456ca8cfc9c184ef4fab4bc0ce",
+    },
+    ("threshold", "cz", "depolarising", "equal"): {
+        "stdout": "0cf9ac4ce0e67bb17d0a6f7b9a1ac4f8c81fc16ee49d072245dd6e0aba1a9cb0",
+        "out": "8af4d340c1b8d5dd74121d2a6243729b303a94d06b0a6be8439e08828d7fd218",
+    },
+    ("threshold", "cz", "dephasing", "after"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "4ba981b4d4eb351a64aa7a4fc11c25e36dd9e4f283afdb01fab62b546b6b1fb9",
+    },
+    ("threshold", "cz", "dephasing", "before"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "4ae53a67267b39e44db21d0b32ce2fff322e2bbf0235da1174095b62604124c2",
+    },
+    ("threshold", "cz", "dephasing", "equal"): {
+        "stdout": "6e339a67f7db4d1b5bb222eac801c1beca37b152e3ec0ddec1095a8dbbdec28d",
+        "out": "610260bfc78bd04008d37a05f8c0ad2f107e00686e612ccc4a23a784c9287075",
+    },
+    ("threshold", "cz", "bitflip", "after"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "8cfb73eb4f5f32c6694727021b4b5c1b8a7e992aaed45089a82b007ee1ac57da",
+    },
+    ("threshold", "cz", "bitflip", "before"): {
+        "stdout": "7437de327a50fede117dfe2b7b19e8aae7c125b772485d7f60218eaa551ca913",
+        "out": "438d473ef0289739053276d8b25397adf5cd62f592e823a48328d8001b021492",
+    },
+    ("threshold", "cz", "bitflip", "equal"): {
+        "stdout": "e80a0adc3cd9a5feabdefc26c3323f228c0c829963b666594c2391140f473680",
+        "out": "17e5275fe5d038ef483f34d16afbf9a4d7695b6ba9a87851e8229109306af98b",
+    },
+    ("threshold", "cz", "amplitude_damping", "after"): {
+        "stdout": "120391fce7e72d84efdc6e49205a5248fea35ee5c6f3b9f898a87d801954fbb8",
+        "out": "fc1eac0d5b67845e8b12b67a840e1321f97eb0eb8fada88075ccba4ca453ebe8",
+    },
+    ("threshold", "cz", "amplitude_damping", "before"): {
+        "stdout": "120391fce7e72d84efdc6e49205a5248fea35ee5c6f3b9f898a87d801954fbb8",
+        "out": "06882a66c6fba7eaf923db4aeb0b81e61a61827613cb7f99248c7b440b5039ee",
+    },
+    ("threshold", "cz", "amplitude_damping", "equal"): {
+        "stdout": "11df2486c98d8d9f853a3d3cd09265d306d69534c2adc73aa32c26a6ba8e9e64",
+        "out": "85eb3a3bc28e0ab582aa4b85df0e4aa355a21c87fa3eab4a211724f7a963070c",
+    },
+    ("sweep", "cnot", "depolarising", "csv"): {"out": "1e5f42e72d67c93af115f22099bd19f7ce179f5d0a42df91a9d587aa6615071c"},
+    ("sweep", "cnot", "depolarising", "json"): {"out": "b89054301bc19c32009bdce415685c498b4b5829672eb77a7e814e4bcdd0ffdb"},
+    ("sweep", "cnot", "dephasing", "csv"): {"out": "6243e9fa5bc5ee42887100ec2e3a26e09d11f777cad1826efc64acf45de5a093"},
+    ("sweep", "cnot", "dephasing", "json"): {"out": "1d44a1dd622370af71a3e5d54898431958e0ab65ffeed892d0e3200f26973144"},
+    ("sweep", "cnot", "bitflip", "csv"): {"out": "6243e9fa5bc5ee42887100ec2e3a26e09d11f777cad1826efc64acf45de5a093"},
+    ("sweep", "cnot", "bitflip", "json"): {"out": "51ed67330884853146ceaabbed0193ec7b9fbbdf684f826e29ba57c2e75b3138"},
+    ("sweep", "cnot", "amplitude_damping", "csv"): {"out": "7b2a11e098b32436cf1ed4d13cfb3f5c37159f3f4ad338867ea92c016e627d68"},
+    ("sweep", "cnot", "amplitude_damping", "json"): {"out": "98d1108b982a434ba5d5705cbccc4f8726df6b6f68db25c2a7e79f3eed1a311f"},
+    ("sweep", "cz", "depolarising", "csv"): {"out": "1e5f42e72d67c93af115f22099bd19f7ce179f5d0a42df91a9d587aa6615071c"},
+    ("sweep", "cz", "depolarising", "json"): {"out": "b7cf84e5fcc6b67cd5bc464c702f0e6d96fdabbf6e27243ce705ec05bad36ea4"},
+    ("sweep", "cz", "dephasing", "csv"): {"out": "ddf2b42772c3aee79fbba7ed4bfe947bdfeaba5215f91c198547f3fbf14546d4"},
+    ("sweep", "cz", "dephasing", "json"): {"out": "f68bdfafd609cf2cf8038b44f36c6f7d559919d3beb1246c12c13bbcca2003a8"},
+    ("sweep", "cz", "bitflip", "csv"): {"out": "8641d30dc43950ef916ff4978e545670a32db634cc8ca8f7a55ef3ed8c84a4c1"},
+    ("sweep", "cz", "bitflip", "json"): {"out": "5a31fe53876ad9f8f1a7303f0a23dad8ab6e9257cfb690c211bed5240623daec"},
+    ("sweep", "cz", "amplitude_damping", "csv"): {"out": "dd47b313d645ac2dd5eb5a08475a4c1878ca7ac0fffebca4e832da164b541faf"},
+    ("sweep", "cz", "amplitude_damping", "json"): {"out": "5a64baa9f16b5be89b461327c9c26e67544a26f11449ca078306d6f9461c4412"},
 }
-PINNED_ARGS = {"simulate": ("--q1", "0.3", "--q2", "0.15", "--shots", "5000", "--seed", "11")}
+KEY_FLAGS = {"simulate": ("--noise",), "threshold": ("--noise", "--mode"), "sweep": ("--noise", "--format")}
+PINNED_ARGS = {"simulate": ("--q1", "0.3", "--q2", "0.15", "--shots", "5000", "--seed", "11"),
+               "sweep": ("--grid", "7")}
 
 # expect at q1 = 0.3, q2 = 0.15: closed form, numeric route, difference and the detected flag.
 # Its digits carry LAPACK round-off, so it is pinned by value.
@@ -113,15 +227,15 @@ EXPECT_VALUES = {
 
 @pytest.mark.parametrize("key", sorted(OUTPUT_DIGESTS), ids="-".join)
 def test_output_digests_are_pinned(capsys, tmp_path, key):
-    command, gate, *noise = key
+    command, gate, *values = key
     files = {name: tmp_path / f"{name}.json" for name in OUTPUT_DIGESTS[key] if name != "stdout"}
     flags = [arg for name, path in files.items()
              for arg in ("--out" if name == "out" else f"--{name}-out", str(path))]
-    noise_flags = ["--noise", *noise] if noise else []
-    code, out, _ = run(capsys, command, "--gate", gate, *noise_flags, *PINNED_ARGS.get(command, ()), *flags)
+    key_flags = [arg for pair in zip(KEY_FLAGS.get(command, ()), values) for arg in pair]
+    code, out, _ = run(capsys, command, "--gate", gate, *key_flags, *PINNED_ARGS.get(command, ()), *flags)
     assert code == 0
     outputs = {"stdout": out.encode(), **{name: path.read_bytes() for name, path in files.items()}}
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    digests = {name: hashlib.sha256(outputs[name]).hexdigest() for name in OUTPUT_DIGESTS[key]}
     assert digests == OUTPUT_DIGESTS[key]
 
 

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ruwitness.cover import GATE_DECOMPOSITIONS, minimal_settings
+from ruwitness.protocol import EstimateResult, ShotPlan, result_json_obj
 from ruwitness.robustness import sweep
 from ruwitness.serialize import _fmt12_column, _records, _round12_column, _significands, dumps, fmt12, round12
+from ruwitness.thresholds import threshold, threshold_json_obj
 
 
 @given(st.floats())
@@ -94,6 +97,11 @@ def assert_matches_stdlib(obj):
         assert dumps(obj) == want
 
 
+# The CLI's own small objects: threshold, simulate, witness --decomposition-out and --settings-out.
+ROOTS = threshold("cz", "dephasing", "equal")  # two roots
+SETTINGS = list(minimal_settings(GATE_DECOMPOSITIONS["CZ"]))
+
+
 @given(TREES)
 @example({})
 @example([])
@@ -107,6 +115,12 @@ def assert_matches_stdlib(obj):
 @example({"a": [np.float64(0.1), True, np.bool_(False)]})
 @example([[{"a{": "},\n      {", '"': "\n"}, {"é": math.nan}], (1, 2)])
 @example([math.nan, [], math.inf, -math.inf, -0.0, 10**20, "é"])
+@example(threshold_json_obj("cz", "dephasing", "equal", []))
+@example(threshold_json_obj("cz", "dephasing", "equal", ROOTS[:1]))
+@example(threshold_json_obj("cz", "dephasing", "equal", ROOTS))
+@example(result_json_obj(EstimateResult(-0.0441, 0.00731, ()), ShotPlan(5000, 11), SETTINGS))
+@example(GATE_DECOMPOSITIONS["CNOT"].to_json_obj())
+@example(SETTINGS)
 def test_dumps_equals_stdlib_on_json_trees(obj):
     assert_matches_stdlib(obj)
 
