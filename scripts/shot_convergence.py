@@ -14,7 +14,8 @@ import sys
 
 from ruwitness.protocol import ShotPlan, estimate_expectation
 from ruwitness.robustness import NOISE_KINDS, NoiseSpec, noisy_gate
-from ruwitness.witness import expectation, minimal_settings, gate_witness, pauli_decompose
+from ruwitness.cover import minimal_settings
+from ruwitness.witness import expectation, gate_witness, pauli_decompose
 
 
 def main() -> int:

@@ -177,7 +177,8 @@ def _cmd_simulate(args) -> int:
     from .protocol import _MAX_SHOTS, ShotPlan, estimate_expectation, result_json_obj
     from .robustness import NoiseSpec, noisy_gate
     from .serialize import dumps, fmt12
-    from .witness import gate_witness, minimal_settings, pauli_decompose
+    from .cover import minimal_settings
+    from .witness import gate_witness, pauli_decompose
 
     _check_unit_interval("--q1", args.q1)
     _check_unit_interval("--q2", args.q2)

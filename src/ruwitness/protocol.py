@@ -47,15 +47,9 @@ from numbers import Integral
 import numpy as np
 
 from .channels import _E0, KrausChannel, _PTMChannel
+from .cover import IDENTITY_STRING, PauliDecomposition, minimal_settings, setting_covers
 from .linalg import DEFAULT_TOL, _pauli_components, all_pauli_strings
-from .witness import (
-    IDENTITY_STRING,
-    PauliDecomposition,
-    Witness,
-    minimal_settings,
-    pauli_decompose,
-    setting_covers,
-)
+from .witness import Witness, pauli_decompose
 
 _AXIS_CODE = {"X": 1, "Y": 2, "Z": 3}  # index of the letter in "IXYZ"
 _BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1  # bits of qubits A to D

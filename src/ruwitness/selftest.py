@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import channels, linalg, protocol, robustness, witness
+from . import channels, cover, linalg, protocol, robustness, witness
 from .serialize import fmt12
 
 
@@ -80,19 +80,19 @@ def check_golden_decompositions() -> None:
 def check_minimal_settings() -> None:
     for gate in witness.GATE_NAMES:
         d = witness.pauli_decompose(witness.gate_witness(gate))
-        cover = witness.minimal_settings(d)
-        _require(len(cover) == 9)
+        chosen = cover.minimal_settings(d)
+        _require(len(chosen) == 9)
         # no 8-cover, twice: 9 terms whose covering settings are pairwise
         # disjoint, and the exhaustive search at bound 8
         packing = d._packing
-        sets = [{c for c in witness.ALL_SETTINGS if witness.setting_covers(c, s)} for s in packing]
-        _require(len(packing) == 9 and set(packing) <= set(d.strings()) - {witness.IDENTITY_STRING})
+        sets = [{c for c in cover.ALL_SETTINGS if cover.setting_covers(c, s)} for s in packing]
+        _require(len(packing) == 9 and set(packing) <= set(d.strings()) - {cover.IDENTITY_STRING})
         _require(sum(map(len, sets)) == len(set().union(*sets)))
-        _require(witness.best_cover(*d._problem, 8) is None)
-        _require(not witness.cover_exists(d, 8))
+        _require(cover.best_cover(*d._problem, 8) is None)
+        _require(not cover.cover_exists(d, 8))
         for _, s in d.terms:
             if s != "IIII":
-                _require(any(witness.setting_covers(c, s) for c in cover))
+                _require(any(cover.setting_covers(c, s) for c in chosen))
 
 
 def check_beta_invariants() -> None:

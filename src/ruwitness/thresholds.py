@@ -10,8 +10,10 @@ Thresholds are the sign changes of slices of T (pre-only, post-only or equal
 strengths), integer polynomials whose roots a Sturm chain on Python ints
 isolates exactly, including the two-root window of CZ under equal dephasing,
 where high noise becomes detectable again because dephasing commutes with CZ.
-Each root comes back as the float nearest to it, and exact integer signs at
-the two floats that bracket it, and at their midpoint, certify that float.
+Each root comes back as the float nearest to it, found by bisecting float bit
+patterns with exact integer signs; the signs at the two floats that bracket it,
+and at their midpoint, certify that float.  No float arithmetic enters before
+that rounding, and each slice's roots are kept once found.
 
 The module needs only the standard library, so thresholds run without numpy.
 """
@@ -19,6 +21,7 @@ The module needs only the standard library, so thresholds run without numpy.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import cache
 from itertools import accumulate, dropwhile, zip_longest
 from math import gcd
 from operator import ne, not_
@@ -62,8 +65,6 @@ def _check_kind(kind: str) -> str:
 def _slice_polynomial(gate: str, kind: str, mode: str) -> list[int]:
     """Integer coefficients, lowest first, of 16 times a slice in x = q, or s for damping:
     anti-diagonal sums of the table, or one side noiseless at x = 0, or s = 1 for damping."""
-    if mode not in THRESHOLD_MODES:
-        raise ValueError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
     t = _TABLES[gate, kind]
     if mode == "equal":
         coeffs = [0] * (2 * len(t) - 1)
@@ -83,7 +84,7 @@ def _crossings(coeffs: Iterable[int]) -> list[float]:
     and kept at odd multiplicity; a Sturm chain (Sturm 1829) of primitive
     pseudo-remainders counts the distinct roots in a dyadic cell, halved until it
     holds one, which is kept if the signs at its ends differ.  Each kept root is
-    the float nearest to it, ties to even, certified by exact signs at floats.
+    the float nearest to it, ties to even, found from its cell by exact signs alone.
     """
     p = list(dropwhile(not_, map(int, reversed(list(coeffs)))))  # highest power first
     if not p:
@@ -99,11 +100,6 @@ def _crossings(coeffs: Iterable[int]) -> list[float]:
     sturm = [p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]]
     while rem := _pseudo_divmod(sturm[-2], sturm[-1])[1]:
         sturm.append(_primitive([-c for c in rem]))
-    # p / gcd(p, p'): the same roots, all simple; in floats, for the root estimates, scaled
-    # by one power of two below its largest coefficient, so that no coefficient overflows
-    simple = _pseudo_divmod(p, sturm[-1])[0] if len(sturm[-1]) > 1 else p
-    scale = 1 << max(map(int.bit_length, simple))
-    simple = [c / scale for c in simple]
 
     cells = [(_sturm_point(sturm, (0, 1)), _sturm_point(sturm, (1, 1)))]
     while cells:
@@ -115,7 +111,7 @@ def _crossings(coeffs: Iterable[int]) -> list[float]:
             middle = _sturm_point(sturm, m)
             cells += [(left, middle), (middle, right)]
         elif va - vb == 1 and a_positive != b_positive:
-            roots.append(_round_root(p, a, b, a_positive, _estimate(simple, a[0] / a[1], b[0] / b[1])))
+            roots.append(_round_root(p, a, b, a_positive))
     return sorted(roots)
 
 
@@ -162,56 +158,25 @@ def _primitive(poly: list[int]) -> list[int]:
     return [c // g for c in poly]
 
 
-def _estimate(poly: list[float], lo: float, hi: float) -> float:
-    """A float near the one sign change of poly in (lo, hi), by Newton's method; a step
-    that leaves the bracket kept by float signs is replaced by bisection."""
-    negative = _horner(poly, lo)[0] < 0
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        f, df = _horner(poly, x)
-        if not f:
-            break
-        lo, hi = (x, hi) if (f < 0) == negative else (lo, x)
-        step = x - f / df if df else hi
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-            if not lo < step < hi:  # lo and hi are adjacent floats
-                break
-        elif step == x:
-            break
-        x = step
-    return x
-
-
-def _horner(poly: list[float], x: float) -> tuple[float, float]:
-    f = df = 0.0
-    for c in poly:
-        f, df = f * x + c, df * x + f
-    return f, df
-
-
-def _round_root(p: list[int], a: tuple[int, int], b: tuple[int, int], a_positive: bool, x: float) -> float:
+def _round_root(p: list[int], a: tuple[int, int], b: tuple[int, int], a_positive: bool) -> float:
     """The float nearest the one root of p in the cell (a, b), ties to even, where p is
     positive at a if ``a_positive`` and changes sign once in (a, b).
 
-    Floats from the estimate x outwards, 1, 2, 4, ... bit patterns (which order the
-    non-negative floats), then by bisecting patterns, are signed exactly until two
-    adjacent floats lo < hi bracket the root, at most about 62 + 62 steps; the exact
-    sign at their midpoint then picks the nearer one.
+    The bit patterns of the non-negative floats order them, so bisecting the patterns
+    between the cell's ends, each probe signed exactly, brackets the root by two adjacent
+    floats lo < hi in at most about 64 steps; the exact sign at their midpoint then picks
+    the nearer one.
     """
-    lo_bits, hi_bits, n = unpack("<3q", pack("<3d", a[0] / a[1], b[0] / b[1], x))
-    step = 1
+    lo_bits, hi_bits = unpack("<2q", pack("<2d", a[0] / a[1], b[0] / b[1]))
     while hi_bits - lo_bits > 1:
-        if not lo_bits < n < hi_bits:
-            n = (lo_bits + hi_bits) // 2
+        n = (lo_bits + hi_bits) // 2
         x = unpack("<d", pack("<q", n))[0]
         if not (v := _value(p, point := x.as_integer_ratio())):
             return x
         if (v > 0) == a_positive:
-            a, lo_bits, n = point, n, n + step
+            a, lo_bits = point, n
         else:
-            b, hi_bits, n = point, n, n - step
-        step *= 2
+            b, hi_bits = point, n
     lo, hi = a[0] / a[1], b[0] / b[1]
     m = _midpoint(lo.as_integer_ratio(), hi.as_integer_ratio())
     if a[0] * m[1] >= m[0] * a[1]:  # a is the midpoint, rounded down to lo
@@ -230,10 +195,20 @@ def threshold(gate: str, kind: str, mode: str) -> list[float]:
     equal strengths on both sides.  Each root is the float nearest to the exact
     root, ties to even (for damping, 1 - s*s of the nearest float s, since the
     slice is a polynomial in s = sqrt(1 - gamma)); a root where the expectation
-    touches zero without crossing it is not reported.
+    touches zero without crossing it is not reported.  The arguments are checked
+    first; each of the 24 slices is then solved once per process, and every call
+    returns a fresh list.
     """
-    roots = _crossings(_slice_polynomial(_check_gate(gate), _check_kind(kind), mode))
-    return sorted(1.0 - s * s for s in roots) if kind == "amplitude_damping" else roots
+    gate, kind = _check_gate(gate), _check_kind(kind)
+    if mode not in THRESHOLD_MODES:
+        raise ValueError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
+    return list(_slice_roots(gate, kind, mode))
+
+
+@cache
+def _slice_roots(gate: str, kind: str, mode: str) -> tuple[float, ...]:
+    roots = _crossings(_slice_polynomial(gate, kind, mode))
+    return tuple(sorted(1.0 - s * s for s in roots) if kind == "amplitude_damping" else roots)
 
 
 def threshold_json_obj(gate: str, kind: str, mode: str, roots: Iterable[float]) -> dict:

@@ -17,7 +17,7 @@ eigenvalues of U_B^T U_B.  For both CNOT and CZ it is 1/2.
 The module also decomposes witnesses over the 256 four-qubit Pauli strings.
 The decomposition type, the minimal measurement-setting cover and the gate
 witnesses' exact terms, rationals with denominator 64, live in the numpy-free
-:mod:`ruwitness.cover`; this module re-exports them.
+:mod:`ruwitness.cover`; import them from there.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from itertools import product
 import numpy as np
 
 from .channels import _EYE4, KrausChannel, gate_matrix
-from .cover import (  # noqa: F401  (every name re-exported)
-    _SETTING_INDEX, ALL_SETTINGS, GATE_BETA, GATE_DECOMPOSITIONS, IDENTITY_STRING, PauliDecomposition,
-    _candidates, _coeff_str, _cover_problem, best_cover, cover_exists, minimal_settings, setting_covers)
+from .cover import GATE_BETA, GATE_DECOMPOSITIONS, PauliDecomposition
 from .linalg import _pauli_components, pauli_basis
 from .thresholds import GATE_NAMES, _check_gate
 

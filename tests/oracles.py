@@ -119,7 +119,8 @@ from ruwitness.linalg import PAULIS, all_pauli_strings
 from ruwitness.protocol import EstimateResult, _outcome_probabilities, _substrings
 from ruwitness.robustness import _NOISES, SweepRow, closed_form, single_qubit_noise
 from ruwitness.serialize import fmt12
-from ruwitness.witness import ALL_SETTINGS, minimal_settings, pauli_decompose, setting_covers
+from ruwitness.cover import ALL_SETTINGS, minimal_settings, setting_covers
+from ruwitness.witness import pauli_decompose
 
 
 def choi_of(ch: KrausChannel) -> np.ndarray:

@@ -207,6 +207,8 @@ OUTPUT_DIGESTS = {
     ("sweep", "cz", "amplitude_damping", "csv"): {"out": "dd47b313d645ac2dd5eb5a08475a4c1878ca7ac0fffebca4e832da164b541faf"},
     ("sweep", "cz", "amplitude_damping", "json"): {"out": "5a64baa9f16b5be89b461327c9c26e67544a26f11449ca078306d6f9461c4412"},
 }
+# SHA-256 of selftest's stdout: one PASS line per check and the verdict, in registry order.
+SELFTEST_STDOUT = "ed874e3f4ca6a0c41004b1f86815d081b3c13d8937bef0a29c9ef6dfa3c32ae6"
 KEY_FLAGS = {"simulate": ("--noise",), "threshold": ("--noise", "--mode"), "sweep": ("--noise", "--format")}
 PINNED_ARGS = {"simulate": ("--q1", "0.3", "--q2", "0.15", "--shots", "5000", "--seed", "11"),
                "sweep": ("--grid", "7")}
@@ -237,6 +239,12 @@ def test_output_digests_are_pinned(capsys, tmp_path, key):
     outputs = {"stdout": out.encode(), **{name: path.read_bytes() for name, path in files.items()}}
     digests = {name: hashlib.sha256(outputs[name]).hexdigest() for name in OUTPUT_DIGESTS[key]}
     assert digests == OUTPUT_DIGESTS[key]
+
+
+def test_selftest_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_STDOUT
 
 
 @pytest.mark.parametrize("gate,noise", sorted(EXPECT_VALUES))

@@ -28,13 +28,12 @@ from ruwitness.protocol import (
     result_json_obj,
 )
 from ruwitness.robustness import NOISE_KINDS, NoiseSpec, noisy_gate
+from ruwitness.cover import ALL_SETTINGS, minimal_settings
 from ruwitness.witness import (
-    ALL_SETTINGS,
     Witness,
     build_witness,
     expectation,
     gate_witness,
-    minimal_settings,
     pauli_decompose,
 )
 

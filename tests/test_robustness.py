@@ -41,7 +41,7 @@ from ruwitness.robustness import (
     write_sweep_csv,
 )
 from ruwitness.serialize import dumps
-from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial, _value
+from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial, _slice_roots, _value
 from ruwitness.witness import expectation, gate_witness
 
 from oracles import (
@@ -395,11 +395,12 @@ class TestThreshold:
         ([-1, 10**300], 1e-300), ([-1, 2**1000], 2.0**-1000), ([-3, 10**200], 3e-200),
     ])
     def test_root_far_below_its_cell_takes_a_bounded_search(self, monkeypatch, coeffs, root):
-        # the bit patterns of [0, 1] span 2^62: at most about 62 doublings and 62 halvings
+        # the bit patterns of [0, 1] span 2^62: at most about 62 halvings, the Sturm
+        # chain's signs at 0 and 1 and the sign at the final midpoint
         calls = []
         monkeypatch.setattr("ruwitness.thresholds._value", lambda p, x: calls.append(x) or _value(p, x))
         assert _crossings(coeffs) == [root]
-        assert len(calls) <= 130
+        assert len(calls) <= 70
 
     def test_scaled_slices_keep_their_roots(self):
         for gate, kind, mode in ALL_SLICES:
@@ -470,8 +471,32 @@ class TestThreshold:
         assert recovered == exact + [0] * (len(recovered) - len(exact))
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            threshold("CNOT", "dephasing", "sideways")
+        for mode in ("sideways", ["equal"]):  # an unhashable mode is checked before the cache
+            with pytest.raises(ValueError, match="mode must be one of"):
+                threshold("CNOT", "dephasing", mode)
+
+    def test_returned_roots_are_a_fresh_list(self):
+        roots = threshold("CZ", "dephasing", "equal")
+        want = list(roots)
+        roots.append(2.0)
+        roots[0] = -1.0
+        assert threshold("CZ", "dephasing", "equal") == want
+
+    def test_second_call_for_a_slice_signs_nothing(self, monkeypatch):
+        _slice_roots.cache_clear()
+        calls = []
+        monkeypatch.setattr("ruwitness.thresholds._value", lambda p, x: calls.append(x) or _value(p, x))
+        first = threshold("CNOT", "depolarising", "before_only")
+        assert calls
+        calls.clear()
+        assert threshold("CNOT", "depolarising", "before_only") == first
+        assert calls == []
+
+    def test_gate_case_shares_one_cache_entry(self):
+        _slice_roots.cache_clear()
+        assert threshold("cnot", "bitflip", "equal") == threshold("CNOT", "bitflip", "equal")
+        info = _slice_roots.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
     @pytest.mark.parametrize(
         "options",

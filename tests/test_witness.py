@@ -17,18 +17,14 @@ from ruwitness.channels import (
 )
 from ruwitness import cover as cover_module
 from ruwitness import witness as witness_module
+from ruwitness.cover import ALL_SETTINGS, PauliDecomposition, cover_exists, minimal_settings, setting_covers
 from ruwitness.witness import (
-    ALL_SETTINGS,
-    PauliDecomposition,
     Witness,
     beta_sru,
     build_witness,
-    cover_exists,
     expectation,
-    minimal_settings,
     gate_witness,
     pauli_decompose,
-    setting_covers,
 )
 
 from golden import CNOT_TERMS, CZ_COVER, CZ_TERMS, KNOWN_CNOT_COVER
