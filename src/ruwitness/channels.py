@@ -17,8 +17,10 @@ Conventions
   construction, and non-finite entries are rejected.  A Kraus list is CP by
   construction, so :func:`validate_cpt` checks the one property it can lack.
 * Noisy gates, composed from table noise Pauli transfer matrices (PTMs), are
-  checked CP and TP when built and keep their PTM and Choi matrix; their at
-  most 16 Kraus operators are built on first read of ``kraus``.
+  checked CP and TP when built and keep their PTM; their Choi matrix is built
+  on first read of ``choi`` (or by the CP check, when the gate's PTM does not
+  prove CP alone), and their at most 16 Kraus operators on first read of
+  ``kraus``.
 * A Kraus list is only unique up to a unitary gauge, so channel equality
   is never defined entrywise on Kraus operators; compare Choi states
   instead, through ``tests/oracles.py::choi_of``.
@@ -43,6 +45,9 @@ from .linalg import _CONJ_PAULI_ROWS, DEFAULT_TOL, PAULI_X, PAULI_Z, pauli_basis
 
 _SQRT2 = np.sqrt(2.0)
 _EYE4, _E0, _CP_SHIFT = np.eye(4), np.eye(16)[0], DEFAULT_TOL * np.eye(16)  # noisy-gate checks
+# (W ⊗ W)/16, W[a, b] = +1 if the one-qubit Paulis a, b (order I, X, Y, Z) commute, else -1
+_W = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+_PAULI_SIGNS = np.kron(_W, _W) / 16
 
 _GATES = {
     "I": np.eye(2, dtype=complex),
@@ -170,15 +175,23 @@ def _gate_ptm(name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class _PTMChannel(KrausChannel):
-    """A two-qubit CPT map kept as its checked PTM and Choi matrix; ``kraus`` is built on first read."""
+    """A two-qubit CPT map kept as its checked PTM; ``choi`` and ``kraus`` are built on first read.
+
+    A caller whose check has already built the Choi matrix passes it in, as if read once.
+    """
 
     ptm: np.ndarray
-    choi: np.ndarray
 
-    def __init__(self, ptm: np.ndarray, choi: np.ndarray) -> None:
-        for array in (ptm, choi):
-            array.setflags(write=False)
-        vars(self).update(dim=4, ptm=ptm, choi=choi)  # frozen: no __setattr__
+    def __init__(self, ptm: np.ndarray, choi: np.ndarray | None = None) -> None:
+        ptm.setflags(write=False)
+        vars(self).update(dim=4, ptm=ptm)  # frozen: no __setattr__
+        if choi is not None:
+            vars(self)["choi"] = choi
+
+    @cached_property
+    def choi(self) -> np.ndarray:
+        """C = sum_ij R_ij P_i ⊗ P_j^T / 16, read-only."""
+        return _ptm_choi(self.ptm)
 
     @cached_property
     def kraus(self) -> np.ndarray:
@@ -196,23 +209,40 @@ class _PTMChannel(KrausChannel):
         return ops
 
 
+def _ptm_choi(r: np.ndarray) -> np.ndarray:
+    """The read-only Choi matrix C = sum_ij R_ij P_i ⊗ P_j^T / 16 of a two-qubit PTM R."""
+    x = pauli_basis(2)[1].reshape(16, 16).T @ r @ _CONJ_PAULI_ROWS  # P^T = conj(P)
+    choi = x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16) / 16
+    choi.setflags(write=False)
+    return choi
+
+
 def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausChannel:
     """(post ⊗ post) ∘ gate ∘ (pre ⊗ pre) from single-qubit PTMs, checked now, Kraus stack on read.
 
-    R = (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1), with D ⊗ D by einsum (np.kron is 4x slower), and
-    C = sum_ij R_ij P_i ⊗ P_j^T / 16.  The map is CP iff the smallest eigenvalue of C is
-    above -``DEFAULT_TOL``, i.e. iff C + ``DEFAULT_TOL`` 1 has a (finite) Cholesky factor,
-    and TP iff row 0 of R is e_0.
+    R = (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1), each D ⊗ D one product per entry by broadcasting.  The
+    map is CP iff the smallest eigenvalue of its Choi matrix C is above -``DEFAULT_TOL``, and
+    TP iff row 0 of R is e_0.  When A = R_U^T R, the PTM of U^dag ∘ M, is diagonal (any Pauli
+    noise: R_U is a signed permutation, so the off-diagonal zeros are exact), U^dag ∘ M is a
+    Pauli channel and the eigenvalues of C are exactly its probabilities p = (W ⊗ W) diag(A)/16,
+    so neither C nor a factorisation is needed.  Any other A forms C and tests the criterion
+    as C + ``DEFAULT_TOL`` 1 having a (finite) Cholesky factor; that C is kept.
     """
-    d1, d2 = (np.einsum("ac,bd->abcd", d, d).reshape(16, 16) for d in (pre, post))
-    r = d2 @ _gate_ptm(gate) @ d1
-    _, p = pauli_basis(2)
-    x = p.reshape(16, 16).T @ r @ _CONJ_PAULI_ROWS  # P^T = conj(P)
-    choi = x.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16) / 16
-    try:
-        cp = np.isfinite(np.linalg.cholesky(choi + _CP_SHIFT)).all()
-    except np.linalg.LinAlgError:
-        cp = False
+    d1, d2 = ((d[:, None, :, None] * d[None, :, None, :]).reshape(16, 16) for d in (pre, post))
+    r_u = _gate_ptm(gate)
+    r = d2 @ r_u @ d1
+    a = r_u.T @ r
+    lam, choi = a.diagonal(), None
+    if np.count_nonzero(a) == np.count_nonzero(lam):  # A is diagonal; off it, a NaN is nonzero
+        # a NaN or infinity on diag(A) leaves p a NaN or -inf, unless it is A_00 = R_00 alone,
+        # which fails the TP check below
+        cp = (_PAULI_SIGNS @ lam).min() >= -DEFAULT_TOL
+    else:
+        choi = _ptm_choi(r)
+        try:
+            cp = np.isfinite(np.linalg.cholesky(choi + _CP_SHIFT)).all()
+        except np.linalg.LinAlgError:
+            cp = False
     if not cp:
         raise ValueError("Choi matrix is not positive semidefinite")
     if not np.abs(r[0] - _E0).max() <= DEFAULT_TOL:

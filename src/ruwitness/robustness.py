@@ -89,9 +89,11 @@ def single_qubit_noise(kind: str, q: float) -> KrausChannel:
 
 
 def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
-    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1), checked CP and TP now; it keeps its PTM, and its
-    at most 16 Kraus operators are built on first read, in an order and gauge that are not
-    part of the contract (compare Choi states).  The noise PTMs come from the ``_NOISES``
+    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1), checked CP and TP now; it keeps its PTM, its Choi
+    matrix is built on first read of ``choi`` (under damping, by the CP check), and its at
+    most 16 Kraus operators on first read of ``kraus``, in an order and gauge that are not
+    part of the contract (compare Choi states).  A Pauli noise is checked CP on its Pauli
+    probabilities, with no Choi matrix.  The noise PTMs come from the ``_NOISES``
     coefficients, to which a test pins the closed forms' literal tables.
     """
     pre, post = (_noise_ptm(noise.kind, q) for q in (noise.q1, noise.q2))

@@ -1,5 +1,5 @@
 """Deterministic text output: 12-significant-digit numbers, and canonical JSON from the
-standard library's encoder with a column path for lists of flat records."""
+standard library's encoder with a column path for lists of flat records and of scalars."""
 
 from __future__ import annotations
 
@@ -122,6 +122,13 @@ _COLUMN = {float: _float_reprs, int: partial(map, int.__repr__), str: partial(ma
 _STDLIB = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
+def _column_texts(column: list):
+    """The texts of a nonempty column of one exact ``_COLUMN`` type, or None for the stdlib route."""
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    return _COLUMN[kind](column) if kind in _COLUMN else None
+
+
 def _records(items: list, pad: str) -> str | None:
     """A list of flat records printed column by column, or None for the stdlib route.
 
@@ -139,9 +146,7 @@ def _records(items: list, pad: str) -> str | None:
             column = list(map(itemgetter(key), items))
         except KeyError:
             return None
-        kinds = set(map(type, column))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind not in _COLUMN or (texts := _COLUMN[kind](column)) is None:
+        if (texts := _column_texts(column)) is None:
             return None
         parts += [repeat(f"{sep}{encode_basestring_ascii(key)}: "), texts]
         sep = "," + pad + "  "
@@ -156,8 +161,11 @@ def _encode(obj, depth: int) -> str:
     if kind is dict and obj and _STR.issuperset(map(type, obj)):
         body = ("," + pad).join(f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}" for k, v in sorted(obj.items()))
         return "{" + pad + body + pad[:-2] + "}"
-    if kind is list and obj and (body := _records(obj, pad)) is not None:
-        return "[" + pad + body + pad[:-2] + "]"
+    if kind is list and obj:  # flat records column by column, else scalars of one type item by item
+        if (body := _records(obj, pad)) is None and (texts := _column_texts(obj)) is not None:
+            body = ("," + pad).join(texts)
+        if body is not None:
+            return "[" + pad + body + pad[:-2] + "]"
     if kind is float and math.isfinite(obj):  # as _float_reprs prints it, without its dicts
         return float.__repr__(obj)
     if kind in _COLUMN and (texts := _COLUMN[kind]((obj,))) is not None:
@@ -168,7 +176,8 @@ def _encode(obj, depth: int) -> str:
 def dumps(obj) -> str:
     """Canonical JSON text, byte-identical to ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``:
     dicts with ``str`` keys print key by key, same-key flat records column by column
-    (:func:`_records`), exact scalars directly and all else by the stdlib encoder."""
+    (:func:`_records`), lists of one exact scalar type item by item, exact scalars directly
+    and all else by the stdlib encoder."""
     try:
         return _encode(obj, 0) + "\n"
     except RecursionError:  # a reference cycle or very deep nesting: the stdlib reports it

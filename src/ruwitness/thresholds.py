@@ -50,7 +50,7 @@ _TABLES = {
 
 
 def _check_gate(gate: str) -> str:
-    name = gate.upper()
+    name = gate.upper() if isinstance(gate, str) else None
     if name not in GATE_NAMES:
         raise ValueError(f"gate must be one of {GATE_NAMES}, got {gate!r}")
     return name

@@ -88,12 +88,13 @@ def build_witness(
     return Witness(beta=float(beta), unitary=u, matrix=matrix, gate=gate)
 
 
-@lru_cache(maxsize=None)
 def gate_witness(gate: str) -> Witness:
     """The CNOT or CZ witness, its certified beta = 1/2 and exact Pauli terms, built once per gate."""
-    name = _check_gate(gate)
-    if gate != name:
-        return gate_witness(name)
+    return _gate_witness(_check_gate(gate))
+
+
+@lru_cache(maxsize=None)
+def _gate_witness(name: str) -> Witness:
     w = build_witness(gate_matrix(name), GATE_BETA, gate=name)
     vars(w)["_decomposition"] = GATE_DECOMPOSITIONS[name]
     return w

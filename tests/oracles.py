@@ -203,6 +203,13 @@ def kraus_ptm(ch: KrausChannel) -> np.ndarray:
     return (flat.conj() @ superop @ flat.T).real / ch.dim
 
 
+def ptm_choi(r: np.ndarray) -> np.ndarray:
+    """C = sum_ij R_ij P_i ⊗ P_j^T / 16 of a two-qubit PTM R, from the definition:
+    (P ⊗ Q^T)[(a b), (c d)] = P[a, c] Q[d, b]."""
+    _, p = reference_pauli_basis(2)
+    return np.einsum("ij,iac,jdb->abcd", r, p, p).reshape(16, 16) / 16
+
+
 def gate_ptm_int(gate: str) -> np.ndarray:
     """R_ij = Tr[P_i U P_j U^dag] / 4, rounded to the signed permutation it is."""
     u = gate_matrix(gate)

@@ -3,11 +3,12 @@ import itertools
 import math
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ruwitness import channels, selftest
@@ -40,6 +41,7 @@ from ruwitness.robustness import (
     threshold_json_obj,
     write_sweep_csv,
 )
+from ruwitness.linalg import DEFAULT_TOL
 from ruwitness.serialize import dumps
 from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial, _slice_roots, _value
 from ruwitness.witness import expectation, gate_witness
@@ -51,6 +53,7 @@ from oracles import (
     kraus_noisy_gate,
     kraus_ptm,
     loop_compose,
+    ptm_choi,
     ptm_slice_polynomial,
     ptm_table,
     reference_sweep_rows,
@@ -151,26 +154,78 @@ class TestNoisyGate:
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(-500, 500).filter(bool))
-    def test_cholesky_cp_check_is_the_spectrum_criterion(self, step):
+    def test_pauli_cp_check_is_the_spectrum_criterion(self, step):
         # depolarising at q = 4/3 + delta before CNOT: the smallest Choi eigenvalue is
         # (1 - 3q/4) q/4 = -(3 delta^2 + 4 delta)/16, set within 50% of -DEFAULT_TOL but
-        # never within 1e-13 of it
+        # never within 1e-13 of it; A is diagonal, so no Cholesky factor is formed
         lowest = -1e-10 * (1 + step / 1000)
         delta = -32 * lowest / (4 + math.sqrt(16 - 192 * lowest))
         pre, post = _noise_ptm("depolarising", 4 / 3 + delta), _noise_ptm("depolarising", 0.0)
-        if step > 0:
-            with pytest.raises(ValueError, match="positive semidefinite"):
-                _noisy_gate_channel("CNOT", pre, post)
-        else:
-            choi = _noisy_gate_channel("CNOT", pre, post).choi
-            assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-13
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+            if step > 0:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    _noisy_gate_channel("CNOT", pre, post)
+            else:
+                choi = _noisy_gate_channel("CNOT", pre, post).choi
+                assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-13
+        assert spy.call_count == 0
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_ptm_raises_on_construction(self, bad):
-        pre = _noise_ptm("dephasing", 0.2).copy()
-        pre[2, 1] = bad
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(-500, 500).filter(bool))
+    def test_cholesky_cp_check_is_the_spectrum_criterion(self, step):
+        # damping at gamma = 1 before CNOT resets both qubits to |0>, so A is not diagonal and
+        # the map is rho -> Tr(rho) s ⊗ s for s = N(|0><0|), with N depolarising at q = 2 + delta
+        # after the gate; s has eigenvalues -delta/2 and 1 + delta/2, so the smallest Choi
+        # eigenvalue is -(delta/2)(1 + delta/2)/4 = -(delta^2 + 2 delta)/16, set as above
+        lowest = -1e-10 * (1 + step / 1000)
+        delta = -16 * lowest / (1 + math.sqrt(1 - 16 * lowest))
+        pre, post = _noise_ptm("amplitude_damping", 1.0), _noise_ptm("depolarising", 2 + delta)
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+            if step > 0:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    _noisy_gate_channel("CNOT", pre, post)
+            else:
+                choi = _noisy_gate_channel("CNOT", pre, post).choi
+                assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-13
+        assert spy.call_count == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(GATE_NAMES), st.sampled_from(NOISE_KINDS[:3]),
+           st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+    def test_pauli_route_raises_iff_the_choi_spectrum_dips(self, gate, kind, q1, q2):
+        # the exact Pauli-probability test against the eigenvalues of C from its definition,
+        # with strengths beyond 1 where the noise itself stops being CP
+        pre, post = _noise_ptm(kind, q1), _noise_ptm(kind, q2)
+        r = np.kron(post, post) @ gate_ptm_int(gate) @ np.kron(pre, pre)
+        lowest = np.linalg.eigvalsh(ptm_choi(r))[0]
+        assume(abs(lowest + DEFAULT_TOL) > 1e-13)
+        if lowest < -DEFAULT_TOL:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                _noisy_gate_channel(gate, pre, post)
+        else:
+            ch = _noisy_gate_channel(gate, pre, post)
+            assert np.max(np.abs(ch.ptm - r)) < 1e-15 and np.max(np.abs(ch.choi - ptm_choi(r))) < 1e-15
+
+    @pytest.mark.parametrize("gate", GATE_NAMES)
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_only_damping_forms_choi_and_a_cholesky_factor_when_built(self, gate, kind):
+        damping = kind == "amplitude_damping"
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
+            ch = noisy_gate(gate, NoiseSpec(kind, 0.3, 0.6))
+            assert spy.call_count == damping and ("choi" in vars(ch)) == damping
+            choi = ch.choi
+            assert ch.choi is choi and vars(ch)["choi"] is choi and not choi.flags.writeable
+            assert np.max(np.abs(choi - choi_of(ch))) <= 1e-15
+        assert spy.call_count == damping
+
+    @pytest.mark.parametrize("where", [(2, 1), (1, 1), (0, 0)])  # off A's diagonal, on it, A_00
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_ptm_raises_on_construction(self, where, bad, side):
+        ptms = [_noise_ptm("dephasing", 0.2).copy(), _noise_ptm("dephasing", 0.1).copy()]
+        ptms[side][where] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # inf * 0 in the products
-            _noisy_gate_channel("CZ", pre, _noise_ptm("dephasing", 0.1))
+            _noisy_gate_channel("CZ", *ptms)
 
     @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
     def test_kraus_stack_is_built_once_on_first_read(self, gate, kind, monkeypatch):
@@ -180,17 +235,21 @@ class TestNoisyGate:
         assert calls == [] and "kraus" not in vars(ch)
         kraus = ch.kraus
         assert ch.kraus is kraus and not kraus.flags.writeable
-        assert len(calls) == 1 and calls[0] is ch.choi
+        assert len(calls) == 1 and calls[0] is ch.choi is vars(ch)["choi"]
         assert np.max(np.abs(choi_of(ch) - ch.choi)) <= 1e-15
         assert len(calls) == 1
 
-    def test_derived_channels_keep_no_choi_state(self):
-        # the noisy gate keeps its PTM and Choi matrix; channels built from its Kraus stack do not
-        ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.3, 0.6))
-        assert isinstance(ch, KrausChannel) and set(vars(ch)) == {"dim", "ptm", "choi"}
+    @pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
+    def test_derived_channels_keep_no_choi_state(self, kind):
+        # the noisy gate keeps its PTM, and its Choi matrix once built (damping builds it for
+        # the CP check); channels built from its Kraus stack keep neither
+        ch = noisy_gate("CZ", NoiseSpec(kind, 0.3, 0.6))
+        kept = {"dim", "ptm", "choi"} if kind == "amplitude_damping" else {"dim", "ptm"}
+        assert isinstance(ch, KrausChannel) and set(vars(ch)) == kept
         for derived in (KrausChannel(4, ch.kraus), loop_compose(unitary_channel(np.eye(4)), ch)):
             assert set(vars(derived)) == {"dim", "kraus"} and validate_cpt(derived)
             assert np.max(np.abs(choi_of(derived) - choi_of(ch))) < 1e-15
+        assert set(vars(ch)) == {"dim", "ptm", "choi", "kraus"}
 
     def test_amplitude_damping_one_sided_count(self):
         ch = noisy_gate("CZ", NoiseSpec("amplitude_damping", 0.4, 0.0))
@@ -206,6 +265,19 @@ class TestNoisyGate:
         assert np.array_equal(r, gate_ptm_int(gate))
         assert np.array_equal(r, kraus_ptm(unitary_channel(gate_matrix(gate))))
         assert not r.flags.writeable
+
+
+@pytest.mark.parametrize("gate", [None, ["CNOT"], 3])
+@pytest.mark.parametrize("call", [
+    lambda gate: threshold(gate, "depolarising", "equal"),
+    lambda gate: sweep(gate, "depolarising", 3),
+    lambda gate: closed_form(gate, "depolarising", 0.1, 0.2),
+    lambda gate: noisy_gate(gate, NoiseSpec("depolarising", 0.1, 0.2)),
+    gate_witness,
+], ids=["threshold", "sweep", "closed_form", "noisy_gate", "gate_witness"])
+def test_gate_that_is_not_a_string_raises_value_error(call, gate):
+    with pytest.raises(ValueError, match="gate must be one of"):
+        call(gate)
 
 
 class TestSelftestRoutes:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ruwitness.cover import GATE_DECOMPOSITIONS, minimal_settings
 from ruwitness.protocol import EstimateResult, ShotPlan, result_json_obj
 from ruwitness.robustness import sweep
-from ruwitness.serialize import _fmt12_column, _records, _round12_column, _significands, dumps, fmt12, round12
+from ruwitness.serialize import _column_texts, _fmt12_column, _records, _round12_column, _significands, dumps, fmt12, round12
 from ruwitness.thresholds import threshold, threshold_json_obj
 
 
@@ -121,6 +121,18 @@ SETTINGS = list(minimal_settings(GATE_DECOMPOSITIONS["CZ"]))
 @example(result_json_obj(EstimateResult(-0.0441, 0.00731, ()), ShotPlan(5000, 11), SETTINGS))
 @example(GATE_DECOMPOSITIONS["CNOT"].to_json_obj())
 @example(SETTINGS)
+@example(ROOTS)
+@example(["XZ", "é", "", '"\n'])
+@example([0, -1, 10**20, -(2**64)])
+@example([True, False, True])
+@example([None, None])
+@example([0.5, -0.0, 0.0, 1e-300])
+@example([0.0, -0.0, math.nan])
+@example([-0.0, -0.0])
+@example([1, True, 0, False])
+@example([0.1])
+@example(["one"])
+@example({"a": [[1.5, -2.5], [3]], "b": [{"c": ["x", "y"]}]})
 def test_dumps_equals_stdlib_on_json_trees(obj):
     assert_matches_stdlib(obj)
 
@@ -205,3 +217,11 @@ def test_dumps_matches_stdlib_on_a_reference_cycle():
         json.dumps(cycle, indent=2, sort_keys=True)
     with pytest.raises(ValueError, match="Circular reference"):
         dumps(cycle)
+
+
+@given(st.sampled_from(COLUMNS).flatmap(lambda column: st.lists(column, min_size=1, max_size=12)))
+@example([0.0, -0.0, 5e-324])
+def test_lists_of_one_scalar_type_print_item_by_item(items):
+    assert _column_texts(items) is not None  # the strategy reaches the item path
+    assert_matches_stdlib(items)
+    assert_matches_stdlib({"nested": [items, {"deeper": items}]})
