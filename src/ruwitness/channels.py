@@ -113,7 +113,7 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 
 def validate_cpt(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Check the completeness relation ||sum A^dag A - 1||_max <= tol."""
-    return bool(np.max(np.abs(_kraus_gram(ch.kraus) - np.eye(ch.dim))) <= tol)
+    return bool(np.abs(_kraus_gram(ch.kraus) - np.eye(ch.dim)).max() <= tol)
 
 
 def _kraus_gram(kraus: np.ndarray) -> np.ndarray:
@@ -134,7 +134,7 @@ def pauli_channel(p0: float, p1: float, p2: float, p3: float) -> KrausChannel:
     is the one-Kraus identity channel.
     """
     probs = np.array([p0, p1, p2, p3], dtype=float)
-    if np.any(probs < 0):
+    if (probs < 0).any():
         raise ValueError(f"Pauli probabilities must be non-negative, got {probs.tolist()}")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError(f"Pauli probabilities must sum to 1, got {probs.sum()!r}")
@@ -228,7 +228,8 @@ def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausCh
     so neither C nor a factorisation is needed.  Any other A forms C and tests the criterion
     as C + ``DEFAULT_TOL`` 1 having a (finite) Cholesky factor; that C is kept.
     """
-    d1, d2 = ((d[:, None, :, None] * d[None, :, None, :]).reshape(16, 16) for d in (pre, post))
+    d1 = (pre[:, None, :, None] * pre[None, :, None, :]).reshape(16, 16)
+    d2 = (post[:, None, :, None] * post[None, :, None, :]).reshape(16, 16)
     r_u = _gate_ptm(gate)
     r = d2 @ r_u @ d1
     a = r_u.T @ r

@@ -32,9 +32,10 @@ ordered A, B (channel output) then C, D (reference), big-endian.  Since
 ``|alpha>_ABCD = |alpha>_AC ⊗ |alpha>_BD``, every separability statement
 about random-unitary channels lives in the AC|BD split.
 
-The term assignment, the sign rows and the indices of each setting's
-strings are compiled once into a measurement plan kept on the witness's
-cached decomposition.
+The term assignment, the indices of each setting's strings and a statistics
+matrix over the flattened (setting, outcome) counts, whose one product gives
+the term values, the setting means and their second moments, are compiled
+once into a measurement plan kept on the witness's cached decomposition.
 Settings must be distinct: a repeated setting would count its terms twice.
 """
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import sqrt
 from numbers import Integral
 
 import numpy as np
@@ -49,12 +51,14 @@ import numpy as np
 from .channels import _E0, KrausChannel, _PTMChannel
 from .cover import IDENTITY_STRING, PauliDecomposition, minimal_settings, setting_covers
 from .linalg import DEFAULT_TOL, _pauli_components, all_pauli_strings
+from .serialize import round12
 from .witness import Witness, pauli_decompose
 
 _AXIS_CODE = {"X": 1, "Y": 2, "Z": 3}  # index of the letter in "IXYZ"
 _BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1  # bits of qubits A to D
 # Row ``mask``: the +-1 outcome signs of a string that measures the qubits in ``mask``.
 _H16 = 1.0 - 2.0 * (_BITS @ _BITS.T % 2)
+_BORN = _H16 / 16  # components -> Born probabilities, exactly (x @ _H16) / 16
 _TRANSPOSE_SIGNS = np.array([(-1) ** q.count("Y") for q in all_pauli_strings(2)])  # Q^T = s_Q Q
 
 
@@ -74,9 +78,10 @@ class ShotPlan:
     def __post_init__(self) -> None:
         for name in ("shots_per_setting", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if type(value) is not int:  # the exact type first: the ABC test is slower
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if not 1 <= self.shots_per_setting <= _MAX_SHOTS:
             raise ValueError(f"shots_per_setting must be in [1, {_MAX_SHOTS}], got {self.shots_per_setting}")
         if self.seed < 0:
@@ -124,9 +129,9 @@ def _outcome_probabilities(ch: KrausChannel, substrings: np.ndarray) -> np.ndarr
     else:
         m = ch.kraus.reshape(-1, 16)
         components = _pauli_components(m.T @ m.conj() / 4)
-    if not np.max(np.abs(components[:16] - _E0)) <= DEFAULT_TOL:
+    if not np.abs(components[:16] - _E0).max() <= DEFAULT_TOL:
         raise ValueError("channel is not trace preserving")
-    return components.real[substrings] @ _H16 / 16
+    return components.real[substrings] @ _BORN
 
 
 @dataclass(frozen=True)
@@ -134,27 +139,25 @@ class _MeasurementPlan:
     """The channel-independent part of an estimate, for one witness and settings.
 
     ``strings`` lists the non-identity terms grouped by the setting they are
-    assigned to, ``term_counts[i]`` of them for setting ``i``.  Row ``t`` of
-    ``signs`` holds the +-1 eigenvalue products of term ``t`` over the 16
-    outcomes and ``term_setting[t]`` its setting; ``combined[i]`` is the
-    coefficient-weighted sum of setting ``i``'s sign rows.  Row ``i`` of
-    ``substrings`` indexes the 16 strings setting ``i`` measures.
+    assigned to, ``term_counts[i]`` of them for setting ``i``.  ``stats`` acts
+    on the counts (or Born weights) of all settings flattened setting by
+    setting, 16 outcomes each: row ``t < T`` holds term ``t``'s +-1 outcome
+    signs in its setting's block, row ``T + i`` the coefficient-weighted sum
+    of setting ``i``'s sign rows and row ``T + n + i`` that row squared, for
+    T terms and n settings.  Row ``i`` of ``substrings`` indexes the 16
+    strings setting ``i`` measures.
     """
 
     settings: tuple[str, ...]
     identity: float
     strings: tuple[str, ...]
     term_counts: tuple[int, ...]
-    term_setting: np.ndarray
-    signs: np.ndarray
-    combined: np.ndarray
-    combined_sq: np.ndarray
+    stats: np.ndarray
     substrings: np.ndarray
 
     def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        self.stats.setflags(write=False)
+        self.substrings.setflags(write=False)
 
 
 def _compile_plan(decomp: PauliDecomposition, settings: tuple[str, ...]) -> _MeasurementPlan:
@@ -170,21 +173,20 @@ def _compile_plan(decomp: PauliDecomposition, settings: tuple[str, ...]) -> _Mea
                 raise ValueError(f"no setting covers Pauli string {string!r}")
             assigned.append((index, float(coeff), string))
     assigned.sort(key=lambda a: a[0])  # stable: decomposition order within a setting
-    measured = np.array([[p != "I" for p in string] for _, _, string in assigned], dtype=bool)
-    signs = _H16[measured.reshape(-1, 4) @ [8, 4, 2, 1]]
-    term_setting = np.array([index for index, _, _ in assigned], dtype=int)
-    combined = np.zeros((len(settings), 16))
-    for (index, coeff, _), row in zip(assigned, signs):
-        combined[index] += coeff * row
+    n, t = len(settings), len(assigned)
+    stats = np.zeros((t + 2 * n, n, 16))
+    for row, (index, coeff, string) in enumerate(assigned):
+        signs = _H16[sum(8 >> q for q, p in enumerate(string) if p != "I")]
+        stats[row, index] = signs
+        stats[t + index, index] += coeff * signs
+    stats[t + n:] = stats[t:t + n] ** 2
+    indices = [index for index, _, _ in assigned]
     return _MeasurementPlan(
         settings=settings,
         identity=float(decomp.coefficient(IDENTITY_STRING)),
         strings=tuple(string for _, _, string in assigned),
-        term_counts=tuple(np.bincount(term_setting, minlength=len(settings)).tolist()),
-        term_setting=term_setting,
-        signs=signs,
-        combined=combined,
-        combined_sq=combined**2,
+        term_counts=tuple(map(indices.count, range(n))),
+        stats=stats.reshape(t + 2 * n, 16 * n),
         substrings=substrings,
     )
 
@@ -215,32 +217,31 @@ def _sample_counts(born: np.ndarray, shot_plan: ShotPlan) -> np.ndarray:
 def _estimate(w, ch, settings, shot_plan):
     """Shared estimator core; ``shot_plan`` None means exact Born weights.
 
-    Sampled counts are only divided by the shot number after the dot
-    products, which keeps deterministic-outcome channels bit-exact.
+    Sampled counts are only divided by the shot number after the product, which keeps
+    deterministic-outcome channels bit-exact; the estimate and variance add up left to
+    right over Python floats (``sum`` would compensate on Python 3.12).
     """
     plan = _plan_for(w, settings)
     born = _outcome_probabilities(ch, plan.substrings)
     if shot_plan is None:
-        weights, shots = born, None
+        weights, shots, denom = born, None, 1.0
     else:
         shots = shot_plan.shots_per_setting
-        weights = _sample_counts(born, shot_plan)
-    denom = 1.0 if shots is None else float(shots)
-    values = np.einsum("tj,tj->t", plan.signs, weights[plan.term_setting]) / denom
-    means = np.einsum("ij,ij->i", plan.combined, weights) / denom
-    seconds = np.einsum("ij,ij->i", plan.combined_sq, weights) / denom
+        weights, denom = _sample_counts(born, shot_plan), float(shots)
+    stats = (plan.stats @ weights.ravel() / denom).tolist()
+    t, n = len(plan.strings), len(plan.settings)
 
     estimate = plan.identity
     variance = 0.0
-    for mean, second in zip(means.tolist(), seconds.tolist()):
+    for mean, second in zip(stats[t:t + n], stats[t + n:]):
         estimate += mean
         if shots is not None:
             sample_var = max(second - mean**2, 0.0) * shots / max(shots - 1, 1)
             variance += sample_var / shots
-    terms = iter(zip(plan.strings, values.tolist()))
+    terms = iter(zip(plan.strings, stats[:t]))
     return EstimateResult(
         estimate=estimate,
-        std_error=float(np.sqrt(variance)),
+        std_error=sqrt(variance),
         per_setting=tuple(
             (setting, tuple(islice(terms, count)))
             for setting, count in zip(plan.settings, plan.term_counts)
@@ -282,8 +283,6 @@ def estimate_expectation_exact(
 
 
 def result_json_obj(result: EstimateResult, plan: ShotPlan, settings) -> dict:
-    from .serialize import round12
-
     return {
         "estimate": round12(result.estimate),
         "std_error": round12(result.std_error),

@@ -53,8 +53,8 @@ from .thresholds import (  # noqa: F401  (the names, modes and thresholds are re
 from .witness import expectation, gate_witness
 
 # kind -> (single-qubit constructor, PTM coefficients D[k] in the Pauli order I, X, Y, Z,
-# stacked as one (k, 4, 4) integer array), in the order of NOISE_KINDS
-_NOISES = {kind: (make, np.array(d)) for kind, (make, d) in {
+# each flattened, stacked as one (k, 16) float array), in the order of NOISE_KINDS
+_NOISES = {kind: (make, np.array(d, dtype=float).reshape(len(d), 16)) for kind, (make, d) in {
     "depolarising": (depolarising, (np.eye(4, dtype=int), -np.diag([0, 1, 1, 1]))),
     "dephasing": (dephasing, (np.eye(4, dtype=int), -2 * np.diag([0, 1, 1, 0]))),
     "bitflip": (bit_flip, (np.eye(4, dtype=int), -2 * np.diag([0, 0, 1, 1]))),
@@ -96,15 +96,14 @@ def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
     probabilities, with no Choi matrix.  The noise PTMs come from the ``_NOISES``
     coefficients, to which a test pins the closed forms' literal tables.
     """
-    pre, post = (_noise_ptm(noise.kind, q) for q in (noise.q1, noise.q2))
-    return _noisy_gate_channel(_check_gate(gate), pre, post)
+    return _noisy_gate_channel(_check_gate(gate), _noise_ptm(noise.kind, noise.q1), _noise_ptm(noise.kind, noise.q2))
 
 
 def _noise_ptm(kind: str, q: float) -> np.ndarray:
     """Single-qubit noise PTM D(x) = sum_k x^k D[k] from ``_NOISES``, x = q, or sqrt(1 - q)."""
     x = sqrt(1.0 - q) if kind == "amplitude_damping" else q
     d = _NOISES[kind][1]
-    return np.dot([x**k for k in range(len(d))], d.reshape(len(d), 16)).reshape(4, 4)
+    return np.dot([x**k for k in range(len(d))], d).reshape(4, 4)
 
 
 def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:

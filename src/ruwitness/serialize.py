@@ -116,9 +116,9 @@ def _float_reprs(column: list[float]) -> list[str] | None:
     return _per_distinct(partial(map, float.__repr__), column)
 
 
-# exact column type -> its texts, or None for the stdlib route, which alone prints subclasses
-_COLUMN = {float: _float_reprs, int: partial(map, int.__repr__), str: partial(map, encode_basestring_ascii),
-           bool: partial(map, _LITERALS.__getitem__), type(None): partial(map, _LITERALS.__getitem__)}
+# exact type -> the text of one scalar, or of a column (None: the stdlib route, which alone prints subclasses)
+_SCALAR = {int: int.__repr__, str: encode_basestring_ascii, bool: _LITERALS.get, type(None): _LITERALS.get}
+_COLUMN = {float: _float_reprs, **{kind: partial(map, text) for kind, text in _SCALAR.items()}}
 _STDLIB = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
@@ -157,7 +157,12 @@ def _records(items: list, pad: str) -> str | None:
 def _encode(obj, depth: int) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` as it prints ``depth`` levels deep; each
     newline in the stdlib's text is a line break of its layout, as no JSON string holds one."""
-    kind, pad = type(obj), "\n" + "  " * (depth + 1)
+    kind = type(obj)
+    if kind is float and math.isfinite(obj):  # as _float_reprs prints it, without its dicts
+        return float.__repr__(obj)
+    if kind in _SCALAR:
+        return _SCALAR[kind](obj)
+    pad = "\n" + "  " * (depth + 1)
     if kind is dict and obj and _STR.issuperset(map(type, obj)):
         body = ("," + pad).join(f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}" for k, v in sorted(obj.items()))
         return "{" + pad + body + pad[:-2] + "}"
@@ -166,10 +171,6 @@ def _encode(obj, depth: int) -> str:
             body = ("," + pad).join(texts)
         if body is not None:
             return "[" + pad + body + pad[:-2] + "]"
-    if kind is float and math.isfinite(obj):  # as _float_reprs prints it, without its dicts
-        return float.__repr__(obj)
-    if kind in _COLUMN and (texts := _COLUMN[kind]((obj,))) is not None:
-        return "".join(texts)
     return _STDLIB(obj).replace("\n", pad[:-2])
 
 

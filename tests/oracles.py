@@ -242,7 +242,7 @@ def ptm_table(gate: str, kind: str) -> tuple[tuple[int, ...], ...]:
     where D(x) = sum_k x^k D[k] and DD[m] = sum_{k+l=m} D[k] ⊗ D[l]."""
     r_u = np.rint(r := _gate_ptm(gate)).astype(int)  # a signed permutation
     assert np.abs(r - r_u).max() <= 1e-12
-    d = _NOISES[kind][1]
+    d = _NOISES[kind][1].reshape(-1, 4, 4)
     dd = [sum(np.kron(a, d[m - k]) for k, a in enumerate(d) if 0 <= m - k < len(d))
           for m in range(2 * len(d) - 1)]
     return tuple(tuple(int(np.sum(r_u * (post @ r_u @ pre))) for post in dd) for pre in dd)

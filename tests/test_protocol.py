@@ -253,7 +253,7 @@ class TestMeasurementPlan:
     def test_plan_arrays_are_read_only(self):
         w, settings, _ = self._cnot()
         plan = _plan_for(w, settings)
-        for name in ("term_setting", "signs", "combined", "combined_sq", "substrings"):
+        for name in ("stats", "substrings"):
             array = getattr(plan, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
@@ -320,6 +320,7 @@ _VARIANTS = (  # (shot plan, reverse the caller-supplied settings)
     (ShotPlan(100_000, 2), False),
     (ShotPlan(4321, 3), True),
     (None, True),
+    (ShotPlan(1, 4), False),  # one shot: the variance divides by max(shots - 1, 1)
 )
 
 

@@ -97,6 +97,38 @@ def test_shot_convergence_runs(run_script):
     assert run_script("shot_convergence.py") == 0
 
 
+def _results_file(path, seed, p50, machine="vm"):
+    """A minimal ``perfbench/results`` file of one ``--trace 0`` shot_experiment run."""
+    path.write_text(json.dumps({
+        "workload": "shot_experiment", "seed": seed, "trace": 0, "seconds": 8.0, "machine": {"host": machine},
+        "digest": f"digest-{seed}", "result": {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+            "item_ms_p50": {"value": p50, "unit": "ms"}, "peak_rss_mb": {"value": 45.0, "unit": "MB"}}}}))
+    return str(path)
+
+
+def test_bench_record_merges_results_files(run_script, tmp_path):
+    files = [_results_file(tmp_path / "a.json", 2, 3.0), _results_file(tmp_path / "b.json", 1, 1.0)]
+    out = tmp_path / "bench.json"
+    assert run_script("bench_record.py", "--out", str(out), *files) == 0
+    bench = json.loads(out.read_text())
+    assert bench["machine"] == {"host": "vm"} and len(bench["commit"]["src_sha256"]) == 64
+    (entry,) = bench["workloads"].values()
+    assert entry["end_to_end"] == {
+        "item_ms_p50": {"unit": "ms", "n": 2, "median": 2.0, "q1": 1.5, "q3": 2.5, "values": [1.0, 3.0]},
+        "peak_rss_mb": {"unit": "MB", "n": 2, "median": 45.0, "q1": 45.0, "q3": 45.0, "values": [45.0, 45.0]}}
+    assert [run["seed"] for run in entry["runs"]] == [1, 2] and entry["runs"][0]["digest"] == "digest-1"
+    assert out.read_text() == dumps(bench)
+
+
+def test_bench_record_refuses_results_of_two_machines(monkeypatch, capsys, tmp_path):
+    files = [_results_file(tmp_path / "a.json", 1, 1.0), _results_file(tmp_path / "b.json", 2, 1.0, "other")]
+    main = runpy.run_path(str(SCRIPTS / "bench_record.py"))["main"]
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--out", str(tmp_path / "bench.json"), *files])
+    assert main() == 1
+    assert capsys.readouterr().err == "bench_record.py: error: the results files come from different machines\n"
+    assert not (tmp_path / "bench.json").exists()
+
+
 @pytest.mark.parametrize("name,args", [
     ("shot_convergence.py", ["--noise", "bogus"]),
     ("shot_convergence.py", ["--q1", "2"]),
