@@ -5,7 +5,7 @@ read-only complex ``(n_kraus, dim, dim)`` array of Kraus operators ``A_k``
 with ``sum_k A_k^dag A_k = 1``; every function here reads that array whole,
 with no loop over operators.  This module provides the gate set used by the
 witness construction, the four standard single-qubit noise models, the
-Kraus form of noisy gates composed from Pauli transfer matrices and a
+Kraus form of noisy gates given by their Pauli transfer matrices and a
 seeded sampler for separable random-unitary channels.  It holds no channel
 algebra: nothing in the pipeline tensors, composes or applies channels.
 
@@ -16,11 +16,10 @@ Conventions
 * Kraus operators that are exactly the zero matrix are dropped on
   construction, and non-finite entries are rejected.  A Kraus list is CP by
   construction, so :func:`validate_cpt` checks the one property it can lack.
-* Noisy gates, composed from table noise Pauli transfer matrices (PTMs), are
-  checked CP and TP when built and keep their PTM; their Choi matrix is built
-  on first read of ``choi`` (or by the CP check, when the gate's PTM does not
-  prove CP alone), and their at most 16 Kraus operators on first read of
-  ``kraus``.
+* Noisy gates are kept as their Pauli transfer matrices (PTMs), checked CP
+  and TP when built; their Choi matrix is built on first read of ``choi`` (or
+  by the CP check, when the PTM does not prove CP alone), and their at most 16
+  Kraus operators on first read of ``kraus``.
 * A Kraus list is only unique up to a unitary gauge, so channel equality
   is never defined entrywise on Kraus operators; compare Choi states
   instead, through ``tests/oracles.py::choi_of``.
@@ -217,22 +216,16 @@ def _ptm_choi(r: np.ndarray) -> np.ndarray:
     return choi
 
 
-def _noisy_gate_channel(gate: str, pre: np.ndarray, post: np.ndarray) -> KrausChannel:
-    """(post ⊗ post) ∘ gate ∘ (pre ⊗ pre) from single-qubit PTMs, checked now, Kraus stack on read.
+def _noisy_gate_channel(gate: str, r: np.ndarray) -> KrausChannel:
+    """The noisy ``gate`` with two-qubit PTM R, checked now, Kraus stack on read.
 
-    R = (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1), each D ⊗ D one product per entry by broadcasting.  The
-    map is CP iff the smallest eigenvalue of its Choi matrix C is above -``DEFAULT_TOL``, and
-    TP iff row 0 of R is e_0.  When A = R_U^T R, the PTM of U^dag ∘ M, is diagonal (any Pauli
-    noise: R_U is a signed permutation, so the off-diagonal zeros are exact), U^dag ∘ M is a
-    Pauli channel and the eigenvalues of C are exactly its probabilities p = (W ⊗ W) diag(A)/16,
-    so neither C nor a factorisation is needed.  Any other A forms C and tests the criterion
-    as C + ``DEFAULT_TOL`` 1 having a (finite) Cholesky factor; that C is kept.
+    CP iff the smallest eigenvalue of the Choi matrix C is above -``DEFAULT_TOL``, TP iff row 0 of
+    R is e_0.  When A = R_U^T R, the PTM of U^dag ∘ M, is diagonal (any Pauli noise: R_U is a
+    signed permutation, so the off-diagonal zeros are exact), U^dag ∘ M is a Pauli channel and the
+    eigenvalues of C are exactly its probabilities p = (W ⊗ W) diag(A)/16: no C, no factor.  Any
+    other A forms C and tests C + ``DEFAULT_TOL`` 1 for a (finite) Cholesky factor; C is kept.
     """
-    d1 = (pre[:, None, :, None] * pre[None, :, None, :]).reshape(16, 16)
-    d2 = (post[:, None, :, None] * post[None, :, None, :]).reshape(16, 16)
-    r_u = _gate_ptm(gate)
-    r = d2 @ r_u @ d1
-    a = r_u.T @ r
+    a = _gate_ptm(gate).T @ r
     lam, choi = a.diagonal(), None
     if np.count_nonzero(a) == np.count_nonzero(lam):  # A is diagonal; off it, a NaN is nonzero
         # a NaN or infinity on diag(A) leaves p a NaN or -inf, unless it is A_00 = R_00 alone,

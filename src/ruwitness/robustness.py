@@ -5,13 +5,12 @@ on both lines before and after the gate,
 
     M = (N_2 ⊗ N_2) ∘ U ∘ (N_1 ⊗ N_1),
 
-with independent strengths q1 (pre) and q2 (post).  In Pauli transfer
-matrices (PTMs), 16 Tr[W_U C_M] = 8 - <R_U, (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1)>, and
-each noise PTM D is an integer polynomial in x = q, or s = sqrt(1 - gamma) for
-damping, so :func:`closed_form` is 1/2 - T(x1, x2)/16 for the integer table T
-of the gate and noise in :mod:`ruwitness.thresholds`.  :func:`noisy_gate`
-composes the same D(x) numerically, so the selftest checks both against the
-Kraus composition, the independent route.
+with independent strengths q1 (pre) and q2 (post).  Each noise Pauli transfer
+matrix (PTM) D is an integer polynomial in x = q, or s = sqrt(1 - gamma) for
+damping, so M's PTM R = (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1) is an integer table over
+the monomials x1^a x2^b, which :func:`noisy_gate` evaluates in one product.
+:func:`closed_form` (1/2 - <R_U, R>/16) reads its contraction, the table T of
+:mod:`ruwitness.thresholds`; the selftest checks both by Kraus composition.
 
 The thresholds, the sign changes of slices of T, live in
 :mod:`ruwitness.thresholds`, which needs no numpy; this module re-exports
@@ -33,6 +32,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     _check_unit_interval,
+    _gate_ptm,
     _noisy_gate_channel,
     amplitude_damping,
     bit_flip,
@@ -52,15 +52,15 @@ from .thresholds import (  # noqa: F401  (the names, modes and thresholds are re
 )
 from .witness import expectation, gate_witness
 
-# kind -> (single-qubit constructor, PTM coefficients D[k] in the Pauli order I, X, Y, Z,
-# each flattened, stacked as one (k, 16) float array), in the order of NOISE_KINDS
-_NOISES = {kind: (make, np.array(d, dtype=float).reshape(len(d), 16)) for kind, (make, d) in {
-    "depolarising": (depolarising, (np.eye(4, dtype=int), -np.diag([0, 1, 1, 1]))),
-    "dephasing": (dephasing, (np.eye(4, dtype=int), -2 * np.diag([0, 1, 1, 0]))),
-    "bitflip": (bit_flip, (np.eye(4, dtype=int), -2 * np.diag([0, 0, 1, 1]))),
-    "amplitude_damping": (amplitude_damping, (np.outer([1, 0, 0, 1], [1, 0, 0, 0]),
-                                              np.diag([0, 1, 1, 0]), np.outer([0, 0, 0, 1], [-1, 0, 0, 1]))),
-}.items()}
+# kind -> (single-qubit constructor, PTM coefficients D[k] in the Pauli order I, X, Y, Z, stacked
+# as one (k, 4, 4) integer array), in the order of NOISE_KINDS
+_NOISES = {
+    "depolarising": (depolarising, np.array([np.eye(4, dtype=int), -np.diag([0, 1, 1, 1])])),
+    "dephasing": (dephasing, np.array([np.eye(4, dtype=int), -2 * np.diag([0, 1, 1, 0])])),
+    "bitflip": (bit_flip, np.array([np.eye(4, dtype=int), -2 * np.diag([0, 0, 1, 1])])),
+    "amplitude_damping": (amplitude_damping, np.array([np.outer([1, 0, 0, 1], [1, 0, 0, 0]), np.diag([0, 1, 1, 0]),
+                                                       np.outer([0, 0, 0, 1], [-1, 0, 0, 1])])),
+}
 
 
 @dataclass(frozen=True)
@@ -89,21 +89,28 @@ def single_qubit_noise(kind: str, q: float) -> KrausChannel:
 
 
 def noisy_gate(gate: str, noise: NoiseSpec) -> KrausChannel:
-    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1), checked CP and TP now; it keeps its PTM, its Choi
-    matrix is built on first read of ``choi`` (under damping, by the CP check), and its at
-    most 16 Kraus operators on first read of ``kraus``, in an order and gauge that are not
-    part of the contract (compare Choi states).  A Pauli noise is checked CP on its Pauli
-    probabilities, with no Choi matrix.  The noise PTMs come from the ``_NOISES``
-    coefficients, to which a test pins the closed forms' literal tables.
-    """
-    return _noisy_gate_channel(_check_gate(gate), _noise_ptm(noise.kind, noise.q1), _noise_ptm(noise.kind, noise.q2))
+    """(N_2 ⊗ N_2) ∘ gate ∘ (N_1 ⊗ N_1), checked CP and TP now (a Pauli noise on its Pauli
+    probabilities, damping by a Cholesky factor of its Choi matrix); it keeps its PTM, one product
+    of the monomials x1^a x2^b with ``_ptm_table``.  Its Choi matrix is built on first read of
+    ``choi``, and its at most 16 Kraus operators on first read of ``kraus``, in an order and gauge
+    that are not part of the contract (compare Choi states)."""
+    name, damping = _check_gate(gate), noise.kind == "amplitude_damping"
+    x1, x2 = (sqrt(1.0 - noise.q1), sqrt(1.0 - noise.q2)) if damping else (noise.q1, noise.q2)
+    powers, table = _ptm_table(name, noise.kind)
+    monomials = [u * v for u in [x1**a for a in powers] for v in [x2**b for b in powers]]
+    return _noisy_gate_channel(name, np.dot(monomials, table).reshape(16, 16))
 
 
-def _noise_ptm(kind: str, q: float) -> np.ndarray:
-    """Single-qubit noise PTM D(x) = sum_k x^k D[k] from ``_NOISES``, x = q, or sqrt(1 - q)."""
-    x = sqrt(1.0 - q) if kind == "amplitude_damping" else q
+@cache
+def _ptm_table(name: str, kind: str) -> tuple[range, np.ndarray]:
+    """The exponents 0..n-1 and the read-only (n^2, 256) integer rows R_ab = DD[b] R_U DD[a] of
+    R = sum_ab x1^a x2^b R_ab, row a n + b, where D(x) = sum_k x^k D[k] from ``_NOISES`` and
+    DD[m] = sum_{k+l=m} D[k] ⊗ D[l]."""
     d = _NOISES[kind][1]
-    return np.dot([x**k for k in range(len(d))], d).reshape(4, 4)
+    dd = [sum(np.kron(d[k], d[m - k]) for k in range(len(d)) if m - k in range(len(d))) for m in range(2 * len(d) - 1)]
+    table = np.array([(post @ _gate_ptm(name) @ pre).ravel() for pre in dd for post in dd], dtype=float)
+    table.setflags(write=False)
+    return range(len(dd)), table
 
 
 def closed_form(gate: str, kind: str, q1: float, q2: float) -> float:

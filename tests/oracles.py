@@ -34,7 +34,11 @@ Walsh-Hadamard transform of Pauli components in ``ruwitness.protocol``.
 operators, through the superoperator sum_k A_k ⊗ conj(A_k).  It is the
 reference for the integer noise PTM tables of ``ruwitness.robustness``;
 ``gate_ptm_int`` is the reference for the gate PTM ``ruwitness.channels``
-forms from its formula.
+forms from its formula.  ``noise_ptm`` evaluates one noise PTM from the
+``_NOISES`` coefficients, as ``noisy_gate`` did before its PTM became one
+evaluation of an integer table, and ``noisy_ptm`` composes a noisy gate's
+PTM (D_2 ⊗ D_2) R_U (D_1 ⊗ D_1) from any two single-qubit PTMs, in range or
+not, for the checks of ``ruwitness.channels._noisy_gate_channel``.
 
 ``ptm_slice_polynomial`` is the integer polynomial of a threshold slice
 from the Pauli-transfer-matrix composition in exact integer arithmetic.  It
@@ -108,7 +112,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import ceil
+from math import ceil, sqrt
 
 import numpy as np
 import sympy
@@ -219,6 +223,18 @@ def gate_ptm_int(gate: str) -> np.ndarray:
     assert np.abs(r - r_int).max() < 1e-12
     assert (np.abs(r_int).sum(axis=0) == 1).all() and (np.abs(r_int).sum(axis=1) == 1).all()
     return r_int
+
+
+def noise_ptm(kind: str, q: float) -> np.ndarray:
+    """Single-qubit noise PTM D(x) = sum_k x^k D[k] from ``_NOISES``, x = q, or sqrt(1 - q)."""
+    x = sqrt(1.0 - q) if kind == "amplitude_damping" else q
+    d = _NOISES[kind][1]
+    return np.tensordot([x**k for k in range(len(d))], d, 1)
+
+
+def noisy_ptm(gate: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """R = (post ⊗ post) R_U (pre ⊗ pre) of a two-qubit gate from single-qubit PTMs."""
+    return np.kron(post, post) @ gate_ptm_int(gate) @ np.kron(pre, pre)
 
 
 def ptm_slice_polynomial(gate: str, kind: str, mode: str) -> list[int]:

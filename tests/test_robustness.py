@@ -32,7 +32,7 @@ from ruwitness.robustness import (
     _NOISES,
     _closed_form,
     _horner_rows,
-    _noise_ptm,
+    _ptm_table,
     numeric_expectation,
     single_qubit_noise,
     sweep,
@@ -53,6 +53,8 @@ from oracles import (
     kraus_noisy_gate,
     kraus_ptm,
     loop_compose,
+    noise_ptm,
+    noisy_ptm,
     ptm_choi,
     ptm_slice_polynomial,
     ptm_table,
@@ -138,19 +140,20 @@ class TestNoisyGate:
             assert validate_cpt(ch), (q1, q2)
         for q in grid:
             # the coefficient table against the Kraus constructors
-            table_ptm = _noise_ptm(kind, q)
+            table_ptm = noise_ptm(kind, q)
             assert np.max(np.abs(table_ptm - kraus_ptm(single_qubit_noise(kind, q)))) < 1e-15, q
 
     def test_composed_map_that_is_not_cp_raises(self):
         # depolarising at strength 1.5 has Pauli weight 1 - 3q/4 < 0 on the identity
         with pytest.raises(ValueError, match="positive semidefinite"):
-            _noisy_gate_channel("CNOT", _noise_ptm("depolarising", 1.5), _noise_ptm("depolarising", 0.0))
+            _noisy_gate_channel("CNOT", noisy_ptm("CNOT", noise_ptm("depolarising", 1.5),
+                                                  noise_ptm("depolarising", 0.0)))
 
     def test_composed_map_that_is_not_tp_raises(self):
         # one Kraus operator diag(sqrt 1.5, sqrt 0.5): CP with a unit-trace Choi state, not TP
         lossy = kraus_ptm(KrausChannel(2, [np.diag([math.sqrt(1.5), math.sqrt(0.5)])]))
         with pytest.raises(ValueError, match="not trace preserving"):
-            _noisy_gate_channel("CZ", lossy, _noise_ptm("dephasing", 0.0))
+            _noisy_gate_channel("CZ", noisy_ptm("CZ", lossy, noise_ptm("dephasing", 0.0)))
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(-500, 500).filter(bool))
@@ -160,13 +163,13 @@ class TestNoisyGate:
         # never within 1e-13 of it; A is diagonal, so no Cholesky factor is formed
         lowest = -1e-10 * (1 + step / 1000)
         delta = -32 * lowest / (4 + math.sqrt(16 - 192 * lowest))
-        pre, post = _noise_ptm("depolarising", 4 / 3 + delta), _noise_ptm("depolarising", 0.0)
+        r = noisy_ptm("CNOT", noise_ptm("depolarising", 4 / 3 + delta), noise_ptm("depolarising", 0.0))
         with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
             if step > 0:
                 with pytest.raises(ValueError, match="positive semidefinite"):
-                    _noisy_gate_channel("CNOT", pre, post)
+                    _noisy_gate_channel("CNOT", r)
             else:
-                choi = _noisy_gate_channel("CNOT", pre, post).choi
+                choi = _noisy_gate_channel("CNOT", r).choi
                 assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-13
         assert spy.call_count == 0
 
@@ -179,13 +182,13 @@ class TestNoisyGate:
         # eigenvalue is -(delta/2)(1 + delta/2)/4 = -(delta^2 + 2 delta)/16, set as above
         lowest = -1e-10 * (1 + step / 1000)
         delta = -16 * lowest / (1 + math.sqrt(1 - 16 * lowest))
-        pre, post = _noise_ptm("amplitude_damping", 1.0), _noise_ptm("depolarising", 2 + delta)
+        r = noisy_ptm("CNOT", noise_ptm("amplitude_damping", 1.0), noise_ptm("depolarising", 2 + delta))
         with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as spy:
             if step > 0:
                 with pytest.raises(ValueError, match="positive semidefinite"):
-                    _noisy_gate_channel("CNOT", pre, post)
+                    _noisy_gate_channel("CNOT", r)
             else:
-                choi = _noisy_gate_channel("CNOT", pre, post).choi
+                choi = _noisy_gate_channel("CNOT", r).choi
                 assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-13
         assert spy.call_count == 1
 
@@ -195,15 +198,14 @@ class TestNoisyGate:
     def test_pauli_route_raises_iff_the_choi_spectrum_dips(self, gate, kind, q1, q2):
         # the exact Pauli-probability test against the eigenvalues of C from its definition,
         # with strengths beyond 1 where the noise itself stops being CP
-        pre, post = _noise_ptm(kind, q1), _noise_ptm(kind, q2)
-        r = np.kron(post, post) @ gate_ptm_int(gate) @ np.kron(pre, pre)
+        r = noisy_ptm(gate, noise_ptm(kind, q1), noise_ptm(kind, q2))
         lowest = np.linalg.eigvalsh(ptm_choi(r))[0]
         assume(abs(lowest + DEFAULT_TOL) > 1e-13)
         if lowest < -DEFAULT_TOL:
             with pytest.raises(ValueError, match="positive semidefinite"):
-                _noisy_gate_channel(gate, pre, post)
+                _noisy_gate_channel(gate, r)
         else:
-            ch = _noisy_gate_channel(gate, pre, post)
+            ch = _noisy_gate_channel(gate, r)
             assert np.max(np.abs(ch.ptm - r)) < 1e-15 and np.max(np.abs(ch.choi - ptm_choi(r))) < 1e-15
 
     @pytest.mark.parametrize("gate", GATE_NAMES)
@@ -222,10 +224,10 @@ class TestNoisyGate:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("side", [0, 1])
     def test_non_finite_ptm_raises_on_construction(self, where, bad, side):
-        ptms = [_noise_ptm("dephasing", 0.2).copy(), _noise_ptm("dephasing", 0.1).copy()]
+        ptms = [noise_ptm("dephasing", 0.2), noise_ptm("dephasing", 0.1)]
         ptms[side][where] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # inf * 0 in the products
-            _noisy_gate_channel("CZ", *ptms)
+            _noisy_gate_channel("CZ", noisy_ptm("CZ", *ptms))
 
     @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
     def test_kraus_stack_is_built_once_on_first_read(self, gate, kind, monkeypatch):
@@ -265,6 +267,38 @@ class TestNoisyGate:
         assert np.array_equal(r, gate_ptm_int(gate))
         assert np.array_equal(r, kraus_ptm(unitary_channel(gate_matrix(gate))))
         assert not r.flags.writeable
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_ptm_table_entries_are_exact_integers(self, gate, kind):
+        # one row per monomial x1^a x2^b, a, b < n: 3 x 3 under the Pauli noises, 5 x 5 in s
+        # under damping
+        powers, table = _ptm_table(gate, kind)
+        n = 5 if kind == "amplitude_damping" else 3
+        assert powers == range(n) and table.shape == (n * n, 256) and not table.flags.writeable
+        assert np.array_equal(table, np.rint(table)) and np.abs(table).max() <= 16
+        assert _ptm_table(gate, kind)[1] is table
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_ptm_table_evaluates_to_the_kraus_constructors_composition(self, gate, kind):
+        # within 1e-15 where the expanded polynomial adds terms of one sign; where its terms
+        # cancel, as in (1 - 2 q1)(1 - 2 q2) = 1 - 2 q1 - 2 q2 + 4 q1 q2 near q = 1, the bound is
+        # 1e-15 times the sum of the terms' magnitudes (measured: at most 3.7e-16 times it)
+        (powers, table), rng = _ptm_table(gate, kind), np.random.default_rng(37)
+        for q1, q2 in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), *rng.random((40, 2)).tolist()]:
+            d1, d2 = (kraus_ptm(single_qubit_noise(kind, q)) for q in (q1, q2))
+            reference = np.kron(d2, d2) @ gate_ptm_int(gate) @ np.kron(d1, d1)
+            x1, x2 = (math.sqrt(1 - q1), math.sqrt(1 - q2)) if kind == "amplitude_damping" else (q1, q2)
+            terms = np.outer(np.power(x1, powers), np.power(x2, powers)).ravel() @ np.abs(table)
+            error = np.abs(noisy_gate(gate, NoiseSpec(kind, q1, q2)).ptm - reference)
+            assert (error <= 1e-15 * np.maximum(1.0, terms.reshape(16, 16))).all(), (q1, q2)
+
+    @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
+    def test_closed_form_table_is_the_contraction_of_the_ptm_table(self, gate, kind):
+        # T[a][b] = <R_U, R_ab>, integer for integer
+        powers, table = _ptm_table(gate, kind)
+        contraction = (table @ gate_ptm_int(gate).ravel()).reshape(len(powers), len(powers))
+        assert np.array_equal(contraction, np.rint(contraction))
+        assert tuple(tuple(int(c) for c in row) for row in contraction) == _TABLES[gate, kind]
 
 
 @pytest.mark.parametrize("gate", [None, ["CNOT"], 3])

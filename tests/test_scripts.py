@@ -129,6 +129,24 @@ def test_bench_record_refuses_results_of_two_machines(monkeypatch, capsys, tmp_p
     assert not (tmp_path / "bench.json").exists()
 
 
+def test_pin_table_reproduces_the_committed_pins(capsys):
+    import test_cli
+
+    script = runpy.run_path(str(SCRIPTS / "pin_table.py"))
+    assert (script["KEY_FLAGS"], script["PINNED_ARGS"]) == (test_cli.KEY_FLAGS, test_cli.PINNED_ARGS)
+    assert script["main"]() == 0
+    pins = {}
+    exec(capsys.readouterr().out, pins)
+    assert pins["OUTPUT_DIGESTS"] == test_cli.OUTPUT_DIGESTS
+    assert list(pins["OUTPUT_DIGESTS"]) == list(test_cli.OUTPUT_DIGESTS)
+    assert pins["SELFTEST_STDOUT"] == test_cli.SELFTEST_STDOUT
+    # expect's digits carry round-off, so they are compared as its pin test compares them
+    assert list(pins["EXPECT_VALUES"]) == list(test_cli.EXPECT_VALUES)
+    for key, (*values, detected) in pins["EXPECT_VALUES"].items():
+        *pinned, pinned_detected = test_cli.EXPECT_VALUES[key]
+        assert max(abs(a - b) for a, b in zip(values, pinned)) <= 1e-12 and detected == pinned_detected, key
+
+
 @pytest.mark.parametrize("name,args", [
     ("shot_convergence.py", ["--noise", "bogus"]),
     ("shot_convergence.py", ["--q1", "2"]),
