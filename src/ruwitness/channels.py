@@ -176,12 +176,15 @@ def _gate_ptm(name: str) -> np.ndarray:
 class _PTMChannel(KrausChannel):
     """A two-qubit CPT map kept as its checked PTM; ``choi`` and ``kraus`` are built on first read.
 
-    A caller whose check has already built the Choi matrix passes it in, as if read once.
+    TP (row 0 of the PTM is e_0) is checked here, so every instance is TP; a caller whose
+    check has already built the Choi matrix passes it in, as if read once.
     """
 
     ptm: np.ndarray
 
     def __init__(self, ptm: np.ndarray, choi: np.ndarray | None = None) -> None:
+        if not np.abs(ptm[0] - _E0).max() <= DEFAULT_TOL:
+            raise ValueError("channel is not trace preserving")
         ptm.setflags(write=False)
         vars(self).update(dim=4, ptm=ptm)  # frozen: no __setattr__
         if choi is not None:
@@ -219,8 +222,8 @@ def _ptm_choi(r: np.ndarray) -> np.ndarray:
 def _noisy_gate_channel(gate: str, r: np.ndarray) -> KrausChannel:
     """The noisy ``gate`` with two-qubit PTM R, checked now, Kraus stack on read.
 
-    CP iff the smallest eigenvalue of the Choi matrix C is above -``DEFAULT_TOL``, TP iff row 0 of
-    R is e_0.  When A = R_U^T R, the PTM of U^dag ∘ M, is diagonal (any Pauli noise: R_U is a
+    CP iff the smallest eigenvalue of the Choi matrix C is above -``DEFAULT_TOL``, then TP iff
+    row 0 of R is e_0 (checked by ``_PTMChannel``).  When A = R_U^T R, the PTM of U^dag ∘ M, is diagonal (any Pauli noise: R_U is a
     signed permutation, so the off-diagonal zeros are exact), U^dag ∘ M is a Pauli channel and the
     eigenvalues of C are exactly its probabilities p = (W ⊗ W) diag(A)/16: no C, no factor.  Any
     other A forms C and tests C + ``DEFAULT_TOL`` 1 for a (finite) Cholesky factor; C is kept.
@@ -239,9 +242,7 @@ def _noisy_gate_channel(gate: str, r: np.ndarray) -> KrausChannel:
             cp = False
     if not cp:
         raise ValueError("Choi matrix is not positive semidefinite")
-    if not np.abs(r[0] - _E0).max() <= DEFAULT_TOL:
-        raise ValueError("channel is not trace preserving")
-    return _PTMChannel(r, choi)
+    return _PTMChannel(r, choi)  # checks TP
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -120,7 +120,8 @@ def _outcome_probabilities(ch: KrausChannel, substrings: np.ndarray) -> np.ndarr
 
     A channel kept as its PTM R has components Tr[C (P ⊗ Q)] = R_PQ s_Q, with Q^T = s_Q Q;
     else they come from (1/4) sum_k rowvec(A_k) rowvec(A_k)^dag, Hermitian and PSD by
-    construction.  Trace preservation needs Tr[C (1 ⊗ Q)] = [Q = 1].
+    construction.  Trace preservation needs Tr[C (1 ⊗ Q)] = [Q = 1], checked here for a
+    Kraus stack (a PTM channel is checked when built).
     """
     if ch.dim != 4:
         raise ValueError(f"channel must act on dimension 4, got {ch.dim}")
@@ -129,8 +130,8 @@ def _outcome_probabilities(ch: KrausChannel, substrings: np.ndarray) -> np.ndarr
     else:
         m = ch.kraus.reshape(-1, 16)
         components = _pauli_components(m.T @ m.conj() / 4)
-    if not np.abs(components[:16] - _E0).max() <= DEFAULT_TOL:
-        raise ValueError("channel is not trace preserving")
+        if not np.abs(components[:16] - _E0).max() <= DEFAULT_TOL:
+            raise ValueError("channel is not trace preserving")
     return components.real[substrings] @ _BORN
 
 

@@ -39,7 +39,7 @@ from .channels import (
     dephasing,
     depolarising,
 )
-from .serialize import _fmt12_column, _round12_column
+from .serialize import _fmt12_fields, _round12_column
 from .thresholds import (  # noqa: F401  (the names, modes and thresholds are re-exported)
     GATE_NAMES,
     NOISE_KINDS,
@@ -163,18 +163,20 @@ _CSV_BLOCK_ROWS = 4096
 def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
     """CSV with header q1,q2,value,detected and 12-significant-digit numbers.
 
-    Written column by column, one join per block of rows, so that memory does not
-    grow with the grid: each distinct q1, q2 and value of a block is formatted
-    once, with ``fmt12``'s digits from one numpy pass per column, and ``detected``
-    prints by its truth value.
+    Written one block of rows at a time, so that memory does not grow with the
+    grid: each block is one uint8 matrix, row by row the ``fmt12`` fields of q1, q2
+    and value from ``_fmt12_fields`` (each distinct value formatted once), the
+    commas and ``,true``/``,false`` by the truth of ``detected``, written in one
+    call once its pad bytes are dropped.
     """
     fh.write("q1,q2,value,detected\n")
-    rows = iter(rows)
+    rows, ends = iter(rows), np.frombuffer(b",false\n,true\n\0", np.uint8).reshape(2, 7)
     while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-        q1, q2, value, detected = zip(*block)
-        lines = zip(_fmt12_column(q1), repeat(","), _fmt12_column(q2), repeat(","), _fmt12_column(value),
-                    map((",false\n", ",true\n").__getitem__, map(bool, detected)))
-        fh.write("".join(chain.from_iterable(lines)))
+        q1, q2, value, detected = np.fromiter(chain.from_iterable(block), float, 4 * len(block)).reshape(-1, 4).T
+        (a, i), (b, j), (c, k) = map(_fmt12_fields, (q1, q2, value))
+        comma = np.full((len(block), 1), ord(","), np.uint8)
+        matrix = np.hstack([a[i], comma, b[j], comma, c[k], ends[(detected != 0).astype(np.intp)]])
+        fh.write(matrix.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:

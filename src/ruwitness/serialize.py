@@ -1,12 +1,15 @@
 """Deterministic text output: 12-significant-digit numbers, and canonical JSON from the
-standard library's encoder with a column path for lists of flat records and of scalars."""
+standard library's encoder with a column path for lists of flat records and of scalars.
+
+The sweep writers' column kernels load numpy on first call and dedupe a column with one
+``np.unique``; the import and ``dumps`` need no numpy."""
 
 from __future__ import annotations
 
 import json
 import math
 from decimal import Decimal
-from functools import partial
+from functools import cache, partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, not_
@@ -51,53 +54,51 @@ def _significands(x):
     return e, m, p, ok
 
 
-def _per_distinct(convert, values) -> list:
-    """``convert`` applied once to the distinct values of a column, as a list, and its
-    results spread back over the column; values that are == (-0.0 and 0.0) share one."""
-    distinct = dict.fromkeys(values)
-    return list(map(dict(zip(distinct, convert(list(distinct)))).__getitem__, values))
-
-
-def _fmt12_column(values) -> list[str]:
-    """``list(map(fmt12, values))``, which prints -0.0 as 0.0, each value formatted once."""
-    return _per_distinct(_fmt12_distinct, values)
-
-
-def _fmt12_distinct(values: list) -> list[str]:
-    """``fmt12`` of each value: with decimal exponent -11 <= e < 0, sign, "0.", -e - 1
-    zeros and m from ``_significands``; any other value by ``fmt12`` itself."""
+@cache
+def _fmt12_tables():
+    """The read-only ASCII tables of ``_fmt12_fields``, built on first use: row z + 11 s holds
+    "-" if s else a pad, "0.", 10 - z pads and z zeros; row k < 1000 of the second, k's 3 digits."""
     import numpy as np
 
-    x = np.array(values, dtype=float)
-    e, m, _, ok = _significands(x)
+    prefixes = np.array([[45 * s, 48, 46, *[0] * (10 - z), *[48] * z] for s in (0, 1) for z in range(11)], np.uint8)
+    digits = np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3)
+    prefixes.setflags(write=False)
+    return prefixes, digits
+
+
+def _fmt12_fields(column):
+    """(fields, inverse) for a float array: row k of the uint8 matrix ``fields`` is ``fmt12`` of
+    the k-th distinct value in ASCII, zero bytes as padding, so ``fields[inverse]`` prints the
+    column.  A value with decimal exponent -11 <= e < 0 takes fixed fields, sign, "0.", -e - 1
+    zeros and m from ``_significands``; any other value is printed by ``fmt12``."""
+    import numpy as np
+
+    distinct, inverse = np.unique(column, return_inverse=True, equal_nan=False)  # -0.0 == 0.0
+    e, m, _, ok = _significands(distinct)
     ok &= e < 0
-    # prefix row: 0-10 for the exponents -1 to -11 of positive values, 11-21 of negative ones
-    prefixes = np.array([sign + "0." + "0" * z for sign in ("", "-") for z in range(11)], dtype=object)
-    row = np.where(ok, -1 - e + 11 * np.signbit(x), 0).astype(np.intp)
-    text = list(map(str.__add__, prefixes[row].tolist(), map(str, np.where(ok, m, 0).astype(np.int64).tolist())))
-    for i in np.flatnonzero(~ok).tolist():
-        text[i] = fmt12(values[i])
-    return text
+    prefixes, digits = _fmt12_tables()
+    others = [fmt12(x).encode() for x in distinct[~ok].tolist()]
+    fields = np.zeros((len(distinct), max([25, *map(len, others)])), np.uint8)
+    fields[:, :13] = prefixes[np.where(ok, -1 - e + 11 * np.signbit(distinct), 0).astype(np.intp)]
+    hi, lo = np.divmod(np.where(ok, m, 1e11).astype(np.int64), 10**6)
+    fields[:, 13:25] = digits[np.stack([hi // 1000, hi % 1000, lo // 1000, lo % 1000], axis=1)].reshape(-1, 12)
+    for row, text in zip(np.flatnonzero(~ok).tolist(), others):
+        fields[row] = np.frombuffer(text.ljust(fields.shape[1], b"\0"), np.uint8)
+    return fields, inverse
 
 
 def _round12_column(values) -> list[float]:
-    """``list(map(round12, values))``, which folds -0.0 into 0.0, each value rounded once,
-    so that equal values share one float."""
-    return _per_distinct(_round12_distinct, values)
-
-
-def _round12_distinct(values: list) -> list[float]:
-    """``round12`` of each value: m / 10^(11 - e) from ``_significands`` is one correctly
-    rounded operation on exact operands, so it is the float nearest the 12-digit
-    decimal, as ``round12`` parses it; any other value by ``round12`` itself."""
+    """``list(map(round12, values))``, which folds -0.0 into 0.0, each distinct value rounded
+    once by one ``np.unique``: m / 10^(11 - e) from ``_significands`` is one correctly rounded
+    operation on exact operands, so it is the float nearest the 12-digit decimal, as
+    ``round12`` parses it; any other value is rounded by ``round12`` itself."""
     import numpy as np
 
-    x = np.array(values, dtype=float)
-    e, m, p, ok = _significands(x)
-    out = np.copysign(np.where(e <= 11, m / p, m * p), x).tolist()
-    for i in np.flatnonzero(~ok).tolist():
-        out[i] = round12(values[i])
-    return out
+    distinct, inverse = np.unique(np.array(values, dtype=float), return_inverse=True, equal_nan=False)
+    e, m, p, ok = _significands(distinct)
+    out = np.copysign(np.where(e <= 11, m / p, m * p), distinct)
+    out[~ok] = [round12(x) for x in distinct[~ok].tolist()]
+    return out[inverse].tolist()
 
 
 _STR = frozenset((str,))
@@ -107,13 +108,15 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 
 def _float_reprs(column: list[float]) -> list[str] | None:
     """``list(map(repr, column))``, each distinct value printed once; None if one is not
-    finite.  Finite floats that are == have one bit pattern, except -0.0 and 0.0, which
-    print apart, so a column that holds both is printed value by value."""
-    if not all(map(math.isfinite, column)):
+    finite.  Both checks read the distinct values: finite floats that are == have one bit
+    pattern, except -0.0 and 0.0, which print apart, so a column with a zero is searched for
+    both signs and, if it holds both, printed value by value."""
+    distinct = dict.fromkeys(column)
+    if not all(map(math.isfinite, distinct)):
         return None
-    if len({math.copysign(1.0, z) for z in filter(not_, column)}) > 1:
+    if 0.0 in distinct and len({math.copysign(1.0, z) for z in filter(not_, column)}) > 1:
         return list(map(float.__repr__, column))
-    return _per_distinct(partial(map, float.__repr__), column)
+    return list(map(dict(zip(distinct, map(float.__repr__, distinct))).__getitem__, column))
 
 
 # exact type -> the text of one scalar, or of a column (None: the stdlib route, which alone prints subclasses)

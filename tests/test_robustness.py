@@ -15,6 +15,7 @@ from ruwitness import channels, selftest
 from ruwitness.channels import (
     KrausChannel,
     _gate_ptm,
+    _PTMChannel,
     _noisy_gate_channel,
     bit_flip,
     gate_matrix,
@@ -42,7 +43,7 @@ from ruwitness.robustness import (
     write_sweep_csv,
 )
 from ruwitness.linalg import DEFAULT_TOL
-from ruwitness.serialize import dumps
+from ruwitness.serialize import dumps, fmt12
 from ruwitness.thresholds import _TABLES, _crossings, _slice_polynomial, _slice_roots, _value
 from ruwitness.witness import expectation, gate_witness
 
@@ -154,6 +155,14 @@ class TestNoisyGate:
         lossy = kraus_ptm(KrausChannel(2, [np.diag([math.sqrt(1.5), math.sqrt(0.5)])]))
         with pytest.raises(ValueError, match="not trace preserving"):
             _noisy_gate_channel("CZ", noisy_ptm("CZ", lossy, noise_ptm("dephasing", 0.0)))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 5)])
+    def test_ptm_channel_that_is_not_tp_raises(self, entry):
+        # no PTM channel exists unchecked: R[0] = e_0 is tested when one is built
+        r = np.array(_gate_ptm("CNOT"))
+        r[entry] += 1e-9
+        with pytest.raises(ValueError, match="not trace preserving"):
+            _PTMChannel(r)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(-500, 500).filter(bool))
@@ -721,6 +730,18 @@ class TestSweep:
         assert obj["gate"] == "cz" and obj["noise"] == "bitflip"
         assert len(obj["rows"]) == 4
         assert obj["rows"][0] == {"q1": 0.0, "q2": 0.0, "value": -0.5, "detected": True}
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])  # around the writer's 4096-row blocks
+    def test_csv_of_synthetic_rows_matches_per_row_fmt12(self, n):
+        tie = float("0.1234567890125")  # a decimal tie at 12 digits; its float lies just off it
+        pool = (-0.0, 0.0, 1.0, 2.5, 1e-12, tie, math.nextafter(tie, 0.0), math.nextafter(tie, 1.0), -0.3, 0.7)
+        flags = (np.bool_(True), np.bool_(False), 0, 1, True)
+        rows = [SweepRow(pool[i % 10], pool[i * 7 % 10], pool[i * i % 10] if i % 3 else i / n, flags[i % 5])
+                for i in range(n)]
+        buf = io.StringIO()
+        write_sweep_csv(rows, buf)
+        assert buf.getvalue() == "q1,q2,value,detected\n" + "".join(
+            f"{fmt12(a)},{fmt12(b)},{fmt12(v)},{'true' if d else 'false'}\n" for a, b, v, d in rows)
 
     @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
     def test_matches_per_point_reference(self, gate, kind):

@@ -3,13 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruwitness.cover import GATE_DECOMPOSITIONS, minimal_settings
 from ruwitness.protocol import EstimateResult, ShotPlan, result_json_obj
 from ruwitness.robustness import sweep
-from ruwitness.serialize import _column_texts, _fmt12_column, _records, _round12_column, _significands, dumps, fmt12, round12
+from ruwitness.serialize import (
+    _column_texts,
+    _fmt12_fields,
+    _records,
+    _round12_column,
+    _significands,
+    dumps,
+    fmt12,
+    round12,
+)
 from ruwitness.thresholds import threshold, threshold_json_obj
 
 
@@ -47,8 +56,25 @@ KERNEL_FLOATS = (
 @example([10.0**-k * f for k in range(12) for f in (1 - 4e-13, 1 - 6e-13, 1 + 4e-13)])  # round up a decade
 @example([math.nextafter(10.0**-k, d) for k in range(12) for d in (0.0, 1.0)])
 def test_column_kernel_equals_the_scalar_route(values):
-    assert _fmt12_column(values) == list(map(fmt12, values))
+    assert_kernels_equal_the_scalar_route(values)
+
+
+def assert_kernels_equal_the_scalar_route(values):
+    fields, inverse = _fmt12_fields(np.array(values, dtype=float))
+    assert [bytes(row).replace(b"\0", b"").decode() for row in fields[inverse]] == list(map(fmt12, values))
     assert list(map(repr, _round12_column(values))) == list(map(repr, map(round12, values)))
+
+
+# A small pool drawn into a long column: heavy repeats, both zero signs, NaN and infinities.
+POOL = KERNEL_FLOATS | st.sampled_from((0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, 0.5))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(POOL, min_size=1, max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=3000)))
+@example([0.0] * 700 + [-0.0] + [TIE] * 300 + [math.nan, -math.nan, math.inf, -math.inf, 0.0])
+@example([-0.0, *NEAR_TIES] * 500 + [0.0, 1e-12, 2.5])
+def test_column_kernels_on_long_columns_from_a_small_pool(values):
+    assert_kernels_equal_the_scalar_route(values)
 
 
 def test_kernel_sends_near_ties_to_the_scalar_route():
@@ -176,7 +202,10 @@ def test_same_key_records_print_column_by_column(rows):
 @pytest.mark.parametrize("rows", [
     [{"x": -0.0, "n": 1}, {"x": 0.0, "n": 2}, {"x": -0.0, "n": 3}, {"x": 0.5, "n": 4}],  # both zeros
     [{"v": (0.1, -0.25, 1e-300, 0.1 + 0.2)[i % 4], "w": float(i % 3), "n": i} for i in range(400)],  # repeats
-], ids=["signed_zeros", "heavy_repeats"])
+    # the second zero sign first appears after hundreds of repeats of the first
+    [{"x": (0.0, 0.5, 0.25)[i % 3] if i < 600 else -0.0} for i in range(602)],
+    [{"x": -0.0 if i % 2 else 0.125 * (i + 1), "n": i} for i in range(500)] + [{"x": 0.0, "n": 500}],
+], ids=["signed_zeros", "heavy_repeats", "late_negative_zero", "late_positive_zero"])
 def test_float_columns_print_each_value_as_the_stdlib_does(rows):
     assert _records(rows, "\n  ") is not None
     assert_matches_stdlib(rows)
