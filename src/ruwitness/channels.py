@@ -223,10 +223,11 @@ def _noisy_gate_channel(gate: str, r: np.ndarray) -> KrausChannel:
     """The noisy ``gate`` with two-qubit PTM R, checked now, Kraus stack on read.
 
     CP iff the smallest eigenvalue of the Choi matrix C is above -``DEFAULT_TOL``, then TP iff
-    row 0 of R is e_0 (checked by ``_PTMChannel``).  When A = R_U^T R, the PTM of U^dag ∘ M, is diagonal (any Pauli noise: R_U is a
-    signed permutation, so the off-diagonal zeros are exact), U^dag ∘ M is a Pauli channel and the
-    eigenvalues of C are exactly its probabilities p = (W ⊗ W) diag(A)/16: no C, no factor.  Any
-    other A forms C and tests C + ``DEFAULT_TOL`` 1 for a (finite) Cholesky factor; C is kept.
+    row 0 of R is e_0 (checked by ``_PTMChannel``).  When A = R_U^T R, the PTM of U^dag ∘ M, is
+    diagonal (any Pauli noise: R_U is a signed permutation, so the off-diagonal zeros are exact),
+    U^dag ∘ M is a Pauli channel and the eigenvalues of C are exactly its probabilities
+    p = (W ⊗ W) diag(A)/16: no C, no factor.  Any other A forms C and tests C + ``DEFAULT_TOL`` 1
+    for a (finite) Cholesky factor; C is kept.
     """
     a = _gate_ptm(gate).T @ r
     lam, choi = a.diagonal(), None
