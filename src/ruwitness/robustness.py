@@ -182,9 +182,9 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
 def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
     """The JSON object of a sweep, one record per row, numbers rounded to 12 digits.
 
-    Built column by column: each distinct q1, q2 and value is rounded once, with
-    ``round12``'s floats from one numpy pass per column, so equal numbers share
-    one float.
+    Built column by column: ``_round12_column`` finds the distinct q1, q2 and
+    value by one ``np.unique`` per column and rounds each once, with ``round12``'s
+    floats from one numpy pass.
     """
     q1, q2, value, detected = list(zip(*rows)) or [()] * 4
     return {
