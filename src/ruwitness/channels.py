@@ -66,12 +66,10 @@ del _m
 
 def gate_matrix(name: str) -> np.ndarray:
     """Fixed unitary for a named gate (case-insensitive)."""
-    try:
-        return _GATES[name.upper()].copy()
-    except KeyError:
-        raise ValueError(
-            f"unknown gate {name!r}; expected one of {sorted(_GATES)}"
-        ) from None
+    key = name.upper() if isinstance(name, str) else None
+    if key not in _GATES:
+        raise ValueError(f"unknown gate {name!r}; expected one of {sorted(_GATES)}")
+    return _GATES[key].copy()
 
 
 @dataclass(frozen=True, eq=False)

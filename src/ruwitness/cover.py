@@ -49,12 +49,13 @@ class PauliDecomposition:
     @cached_property
     def _packing(self) -> tuple[str, ...]:
         """A greedy packing: in the cover problem's bit order, each string whose
-        candidate settings miss those of the strings taken before it."""
-        taken, packing = 0, []
-        for s in self._ordered:
-            m = _candidate_mask(s)
-            if not taken & m:
-                taken |= m
+        candidate settings miss those of the strings taken before it.  The cover
+        problem's deduplicated candidate lists meet exactly when the full sets do:
+        the smallest setting with a shared setting's mask is a candidate of both."""
+        taken, packing = set(), []
+        for s, candidates in zip(self._ordered, self._problem[1]):
+            if taken.isdisjoint(candidates):
+                taken.update(candidates)
                 packing.append(s)
         return tuple(packing)
 
@@ -148,12 +149,6 @@ def _candidates(string: str) -> tuple[int, ...]:
         raise ValueError(f"not a four-qubit Pauli string: {string!r}")
     axes = ("XYZ" if p == "I" else p for p in string)
     return tuple(_SETTING_INDEX["".join(a)] for a in product(*axes))
-
-
-@lru_cache(maxsize=None)
-def _candidate_mask(string: str) -> int:
-    """:func:`_candidates` as the bits of a mask over :data:`ALL_SETTINGS`."""
-    return sum(1 << j for j in _candidates(string))
 
 
 def best_cover(

@@ -16,15 +16,18 @@ The thresholds, the sign changes of slices of T, live in
 :mod:`ruwitness.thresholds`, which needs no numpy; this module re-exports
 them with the gate and noise names, so closed forms, sweeps and thresholds
 read one table.
+
+The sweep writers print and round whole columns with numpy kernels that
+equal :func:`~ruwitness.serialize.fmt12` and ``round12`` value by value and
+send the values they cannot settle to those scalar routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, dropwhile, islice, repeat
+from itertools import chain, islice, repeat
 from math import sqrt
-from operator import not_
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -39,7 +42,7 @@ from .channels import (
     dephasing,
     depolarising,
 )
-from .serialize import _fmt12_fields, _round12_column
+from .serialize import fmt12, round12
 from .thresholds import (  # noqa: F401  (the names, modes and thresholds are re-exported)
     GATE_NAMES,
     NOISE_KINDS,
@@ -126,20 +129,12 @@ def _closed_form(name: str, kind: str, q1, q2, sqrt):
     if kind == "amplitude_damping":
         q1, q2 = sqrt(1.0 - q1), sqrt(1.0 - q2)
     total = 0.0
-    for row in _horner_rows(name, kind):  # Horner's rule: x1 outside, each row in x2 inside
+    for row in reversed(_TABLES[name, kind]):  # Horner's rule: x1 outside, each row in x2 inside
         inner = 0.0
-        for c in row:
+        for c in reversed(row):
             inner = inner * q2 + c
         total = total * q1 + inner
     return 0.5 - total / 16.0
-
-
-@cache
-def _horner_rows(name: str, kind: str) -> tuple[tuple[float, ...], ...]:
-    """The integer table as float tuples, highest powers first, for ``_closed_form``;
-    leading zeros are dropped, since they only add 0.0 to a 0.0 accumulator."""
-    rows = (tuple(dropwhile(not_, map(float, reversed(row)))) for row in reversed(_TABLES[name, kind]))
-    return tuple(dropwhile(not_, rows))
 
 
 def sweep(gate: str, kind: str, grid_points: int) -> list[SweepRow]:
@@ -155,6 +150,74 @@ def sweep(gate: str, kind: str, grid_points: int) -> list[SweepRow]:
     values = _closed_form(name, kind, q1, q2, np.sqrt)
     fields = zip(q1.tolist(), q2.tolist(), values.tolist(), (values < 0).tolist())
     return list(map(tuple.__new__, repeat(SweepRow), fields))
+
+
+# 10^k for 0 <= k <= 22, each one a float exactly (5^22 < 2^53)
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _significands(x):
+    """(e, m, p, ok) for a float array x: where ``ok``, m is the integer whose 12 digits
+    ``fmt12(x)`` prints, e is the decimal exponent of x and p = 10^(11 - e).
+
+    y = |x| p is one multiply by the exact p, so it lies within half an ulp of the exact
+    product, at most 6.1e-5 below 1e12, and m = rint(y) is the correctly rounded
+    significand unless y lies that near a half-integer (Clinger 1990; Ziv 1991).  ``ok``
+    keeps only x != 0 with -11 <= e <= 11, 1e11 <= y, m < 1e12 and |frac(y) - 1/2| > 1e-3;
+    an e that log10 misjudged fails the two bounds on y and m, or gives y = 1e11 exactly,
+    whose digits are right.  Any other value, 1e12 and above among them, needs the
+    scalar route.
+    """
+    with np.errstate(all="ignore"):  # log10(0) and non-finite values fail ``ok`` below
+        a = np.abs(x)
+        e = np.floor(np.log10(a))
+        ok = (-11 <= e) & (e <= 11)
+        p = _POW10[np.where(ok, 11 - e, 0).astype(np.intp)]
+        y = a * p
+        m = np.rint(y)
+        ok &= (y >= 1e11) & (m < 1e12) & (np.abs(y - np.floor(y) - 0.5) > 1e-3)
+    return e, m, p, ok
+
+
+@cache
+def _fmt12_tables():
+    """The read-only ASCII tables of ``_fmt12_fields``, built on first use: row z + 11 s holds
+    "-" if s else a pad, "0.", 10 - z pads and z zeros; row k < 1000 of the second, k's 3 digits."""
+    prefixes = np.array([[45 * s, 48, 46, *[0] * (10 - z), *[48] * z] for s in (0, 1) for z in range(11)], np.uint8)
+    digits = np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3)
+    prefixes.setflags(write=False)
+    return prefixes, digits
+
+
+def _fmt12_fields(column):
+    """(fields, inverse) for a float array: row k of the uint8 matrix ``fields`` is ``fmt12`` of
+    the k-th distinct value in ASCII, zero bytes as padding, so ``fields[inverse]`` prints the
+    column.  A value with decimal exponent -11 <= e < 0 takes fixed fields, sign, "0.", -e - 1
+    zeros and m from ``_significands``; any other value is printed by ``fmt12``."""
+    distinct, inverse = np.unique(column, return_inverse=True, equal_nan=False)  # -0.0 == 0.0
+    e, m, _, ok = _significands(distinct)
+    ok &= e < 0
+    prefixes, digits = _fmt12_tables()
+    others = [fmt12(x).encode() for x in distinct[~ok].tolist()]
+    fields = np.zeros((len(distinct), max([25, *map(len, others)])), np.uint8)
+    fields[:, :13] = prefixes[np.where(ok, -1 - e + 11 * np.signbit(distinct), 0).astype(np.intp)]
+    hi, lo = np.divmod(np.where(ok, m, 1e11).astype(np.int64), 10**6)
+    fields[:, 13:25] = digits[np.stack([hi // 1000, hi % 1000, lo // 1000, lo % 1000], axis=1)].reshape(-1, 12)
+    for row, text in zip(np.flatnonzero(~ok).tolist(), others):
+        fields[row] = np.frombuffer(text.ljust(fields.shape[1], b"\0"), np.uint8)
+    return fields, inverse
+
+
+def _round12_column(values) -> list[float]:
+    """``list(map(round12, values))``, which folds -0.0 into 0.0, in one numpy pass: m / p from
+    ``_significands`` is one correctly rounded operation on exact operands, so it is the float
+    nearest the 12-digit decimal, as ``round12`` parses it; any other value is rounded by
+    ``round12`` itself."""
+    x = np.array(values, dtype=float)
+    _, m, p, ok = _significands(x)
+    out = np.copysign(m / p, x)
+    out[~ok] = [round12(v) for v in x[~ok].tolist()]
+    return out.tolist()
 
 
 _CSV_BLOCK_ROWS = 4096
@@ -182,9 +245,8 @@ def write_sweep_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
 def sweep_json_obj(gate: str, kind: str, rows: Iterable[SweepRow]) -> dict:
     """The JSON object of a sweep, one record per row, numbers rounded to 12 digits.
 
-    Built column by column: ``_round12_column`` finds the distinct q1, q2 and
-    value by one ``np.unique`` per column and rounds each once, with ``round12``'s
-    floats from one numpy pass.
+    Built column by column: ``_round12_column`` rounds each of q1, q2 and value
+    to ``round12``'s floats in one numpy pass.
     """
     q1, q2, value, detected = list(zip(*rows)) or [()] * 4
     return {

@@ -57,6 +57,11 @@ class TestGates:
         with pytest.raises(ValueError):
             gate_matrix("SWAP")
 
+    @pytest.mark.parametrize("name", [5, None, b"CNOT", ["CNOT"]], ids=repr)
+    def test_a_name_that_is_not_a_str_is_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown gate"):
+            gate_matrix(name)
+
 
 class TestValidateCpt:
     def test_unitary_channel(self):

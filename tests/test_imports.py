@@ -1,4 +1,6 @@
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ import pytest
 
 import ruwitness
 from ruwitness.cli import main as cli_main
+from ruwitness.robustness import sweep
+from ruwitness.serialize import dumps, fmt12, round12
 from ruwitness.thresholds import GATE_NAMES, NOISE_KINDS
 
 
@@ -210,6 +214,47 @@ def test_witness_and_beta_output_without_numpy(tmp_path, capsys):
         if name.startswith("blocked"):
             ordinary = tmp_path / name.replace("blocked", "ordinary")
             assert (tmp_path / name).read_bytes() == ordinary.read_bytes(), name
+
+
+def _imports(module: str) -> list[tuple[str, str]]:
+    """(module, name) for every import statement in a package module's source, at any depth;
+    a plain ``import m`` gives (m, "")."""
+    tree = ast.parse(Path(ruwitness.__file__).with_name(f"{module}.py").read_text())
+    return [(node.module or "", alias.name) if isinstance(node, ast.ImportFrom) else (alias.name, "")
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+
+
+def test_serialize_source_imports_no_numpy():
+    """Not even a deferred import inside a function: serialize is standard library only."""
+    modules = [module for module, _ in _imports("serialize")]
+    assert "json" in modules and not [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+def test_robustness_imports_only_public_serialize_names():
+    names = [name for module, name in _imports("robustness") if module == "serialize"]
+    assert names and not [name for name in names if name.startswith("_")]
+
+
+def test_serialize_without_numpy_on_a_sweep_record_list():
+    """fmt12, round12 and dumps with numpy unimportable equal the ordinary scalar routes and the
+    stdlib encoder on sweep-shaped records: float and bool columns, both zero signs."""
+    rows = [row._asdict() for row in sweep("CZ", "amplitude_damping", 5)]
+    rows.append({"q1": -0.0, "q2": 0.0, "value": -0.0, "detected": False})
+    obj = {"gate": "cz", "noise": "amplitude_damping", "rows": rows}
+    floats = [row[key] for row in rows for key in ("q1", "q2", "value")]
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ruwitness.serialize import dumps, fmt12, round12\n"
+        f"obj, floats = {obj!r}, {floats!r}\n"
+        "print(json.dumps([list(map(fmt12, floats)), [repr(round12(x)) for x in floats], dumps(obj),\n"
+        "                  json.dumps(obj, indent=2, sort_keys=True) + '\\n']))"
+    )
+    texts, rounded, text, stdlib = json.loads(_fresh_interpreter(code))
+    assert {math.copysign(1.0, x) for x in floats if x == 0} == {1.0, -1.0}  # both zero signs
+    assert texts == list(map(fmt12, floats))
+    assert rounded == [repr(round12(x)) for x in floats]
+    assert text == stdlib == dumps(obj)
 
 
 def test_closed_forms_build_no_channel():

@@ -32,7 +32,6 @@ from ruwitness.robustness import (
     noisy_gate,
     _NOISES,
     _closed_form,
-    _horner_rows,
     _ptm_table,
     numeric_expectation,
     single_qubit_noise,
@@ -436,8 +435,9 @@ class TestClosedForm:
                 assert abs(value - hand) <= 1e-15 and (value < 0) == (hand < 0), (grid, q1, q2)
 
     @pytest.mark.parametrize("gate,kind", ALL_COMBOS)
-    def test_trimmed_horner_is_bit_identical_to_the_full_table(self, gate, kind):
-        # _horner_rows drops leading zero coefficients; every grid-201 value keeps its bits
+    def test_closed_form_is_horner_over_the_full_table(self, gate, kind):
+        # every grid-201 value of the array and scalar routes has the bits of Horner's rule
+        # over the whole float table, highest powers first
         q1, q2 = np.indices((201, 201)).reshape(2, -1) / 200
         x1, x2 = (np.sqrt(1.0 - q1), np.sqrt(1.0 - q2)) if kind == "amplitude_damping" else (q1, q2)
         total = 0.0
@@ -447,15 +447,10 @@ class TestClosedForm:
                 inner = inner * x2 + float(c)
             total = total * x1 + inner
         full = 0.5 - total / 16.0
-        trimmed = _closed_form(gate, kind, q1, q2, np.sqrt)
-        assert np.array_equal(trimmed.view(np.int64), full.view(np.int64))
+        column = _closed_form(gate, kind, q1, q2, np.sqrt)
+        assert np.array_equal(column.view(np.int64), full.view(np.int64))
         scalars = [closed_form(gate, kind, a, b) for a, b in zip(q1.tolist(), q2.tolist())]
         assert np.array_equal(np.array(scalars).view(np.int64), full.view(np.int64))
-
-    def test_damping_tables_are_trimmed(self):
-        assert sum(map(len, _horner_rows("CZ", "amplitude_damping"))) == 15
-        assert sum(map(len, _horner_rows("CNOT", "amplitude_damping"))) == 17
-        assert all(row and row[0] for row in _horner_rows("CZ", "amplitude_damping"))
 
     def test_depolarising_numeric_cz_route(self):
         # the shared formula must also match the CZ witness numerics

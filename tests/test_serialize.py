@@ -8,17 +8,8 @@ from hypothesis import strategies as st
 
 from ruwitness.cover import GATE_DECOMPOSITIONS, minimal_settings
 from ruwitness.protocol import EstimateResult, ShotPlan, result_json_obj
-from ruwitness.robustness import sweep
-from ruwitness.serialize import (
-    _column_texts,
-    _fmt12_fields,
-    _records,
-    _round12_column,
-    _significands,
-    dumps,
-    fmt12,
-    round12,
-)
+from ruwitness.robustness import _fmt12_fields, _round12_column, _significands, sweep
+from ruwitness.serialize import _column_texts, _records, dumps, fmt12, round12
 from ruwitness.thresholds import threshold, threshold_json_obj
 
 
@@ -55,6 +46,8 @@ KERNEL_FLOATS = (
 @example([(2 * a + 1) / 2**n for n in (13, 40, 41, 44) for a in (0, 1, 2, 1000)])
 @example([10.0**-k * f for k in range(12) for f in (1 - 4e-13, 1 - 6e-13, 1 + 4e-13)])  # round up a decade
 @example([math.nextafter(10.0**-k, d) for k in range(12) for d in (0.0, 1.0)])
+@example([1e12, 9.999999999995e11, 1e22, 1e300, -7e15])  # the scalar route above the fast path's range
+@example([1.0, 1e-11])  # the fast path's range edges
 def test_column_kernel_equals_the_scalar_route(values):
     assert_kernels_equal_the_scalar_route(values)
 
@@ -80,6 +73,7 @@ def test_column_kernels_on_long_columns_from_a_small_pool(values):
 def test_kernel_sends_near_ties_to_the_scalar_route():
     ok = _significands(np.array([*NEAR_TIES, 0.3, 0.0, 1.0]))[3]
     assert ok.tolist() == [False, False, False, True, False, True]
+    assert not _significands(np.array([1e12, 9.999999999995e11, 1e22, -7e15, 9e-12]))[3].any()
     values = np.array([row.value for row in sweep("CZ", "amplitude_damping", 101)])
     assert _significands(values)[3].mean() > 0.99  # the fast path serves nearly all sweep values
 
